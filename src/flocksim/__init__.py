@@ -30,7 +30,6 @@ from .dynamics import (
     ParticleSystem,
     acceleration,
     acceleration_arrays,
-    active_set,
     make_system,
     merge_clusters,
     pair_weights,
@@ -53,18 +52,14 @@ from .integrator import (
     CollisionEvent,
     PiecewiseTrajectory,
     Segment,
-    SegmentResult,
     SolverConfig,
     classify_event,
-    integrate_segment,
     solve_piecewise,
 )
 from .kernels import (
     CuckerSmaleKernel,
-    Primitive,
     RegularizedKernel,
     SingularKernel,
-    eval_primitive,
     eval_weight,
 )
 from .twobody import (
@@ -89,13 +84,10 @@ __all__ = [
     "SingularKernel",
     "RegularizedKernel",
     "CuckerSmaleKernel",
-    "Primitive",
     "eval_weight",
-    "eval_primitive",
     "ClusterPartition",
     "ParticleSystem",
     "make_system",
-    "active_set",
     "pair_weights",
     "acceleration",
     "acceleration_arrays",
@@ -114,10 +106,8 @@ __all__ = [
     "bounded_weight_floor_check",
     "SolverConfig",
     "CollisionEvent",
-    "SegmentResult",
     "Segment",
     "PiecewiseTrajectory",
-    "integrate_segment",
     "classify_event",
     "solve_piecewise",
     "STICKING",

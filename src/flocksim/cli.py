@@ -39,13 +39,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .convergence import cauchy_table, run_family
+from .convergence import _check_n_list, cauchy_table, run_family
 from .diagnostics import run_diagnostics
 from .dynamics import ParticleSystem, make_system
 from .errors import (
@@ -157,8 +157,8 @@ class RunConfig:
     out_dir: str = "flock_out"
 
 
-_SOLVER_FLOAT_KEYS = ("rel_tol", "abs_tol", "d_stick", "v_stick", "sample_dt", "t_end")
-_SOLVER_INT_KEYS = ("n_reg", "max_segments")
+# solver key -> its type (int or float), in the order meta.txt echoes them
+_SOLVER_TYPES = {f.name: type(f.default) for f in fields(SolverConfig)}
 _SCENARIO_KEYS = {"n", "d", "alpha", "mode", "kernel", "K", "beta", "seed", "box", "speed"}
 _TWOBODY_KEYS = {"phi0", "dphi0", "n_levels"}
 
@@ -254,13 +254,10 @@ def _build_scenario(raw: dict[str, tuple[str, int]]) -> ScenarioConfig:
             raise ValidationError("inline rows need n and d declared", key="n")
         sc.x = _collect_rows("x", vector_keys, sc.n, sc.d)
         sc.v = _collect_rows("v", vector_keys, sc.n, sc.d)
-        extra = [
-            k
-            for k in vector_keys
-            if not any(k == f"{p}_{i}" for p in ("x", "v") for i in range(1, sc.n + 1))
-        ]
+        expected = {f"{p}_{i}" for p in ("x", "v") for i in range(1, sc.n + 1)}
+        extra = vector_keys.keys() - expected
         if extra:
-            raise ValidationError("row index out of range", key=sorted(extra)[0])
+            raise ValidationError("row index out of range", key=min(extra))
     return sc
 
 
@@ -282,12 +279,10 @@ def _collect_rows(prefix: str, vector_keys, n: int, d: int) -> np.ndarray:
 def _build_solver(raw: dict[str, tuple[str, int]]) -> SolverConfig:
     kwargs = {}
     for key, (value, lineno) in raw.items():
-        if key in _SOLVER_FLOAT_KEYS:
-            kwargs[key] = _parse_float(key, value)
-        elif key in _SOLVER_INT_KEYS:
-            kwargs[key] = _parse_int(key, value)
-        else:
+        kind = _SOLVER_TYPES.get(key)
+        if kind is None:
             raise ValidationError("unknown key in [solver]", key=key)
+        kwargs[key] = _parse_int(key, value) if kind is int else _parse_float(key, value)
     try:
         return SolverConfig(**kwargs)
     except DomainError as exc:
@@ -322,15 +317,10 @@ def _build_n_list(raw: dict[str, tuple[str, int]]) -> tuple[int, ...]:
     if "n_list" not in raw:
         raise ValidationError("required for convergence runs", key="n_list")
     value, _ = raw["n_list"]
-    parts = value.split()
-    if len(parts) < 2:
-        raise ValidationError("need at least two cap indices", key="n_list")
-    ns = tuple(_parse_int("n_list", p) for p in parts)
-    if any(n < 2 for n in ns):
-        raise ValidationError(f"cap indices must be >= 2, got {ns}", key="n_list")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValidationError(f"cap indices must be strictly increasing, got {ns}", key="n_list")
-    return ns
+    try:
+        return _check_n_list(_parse_int("n_list", p) for p in value.split())
+    except DomainError as exc:
+        raise ValidationError(str(exc), key="n_list") from None
 
 
 def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out") -> RunConfig:
@@ -466,19 +456,10 @@ def _meta_text(config: RunConfig) -> str:
             lines.append(f"x_{i+1} = " + " ".join(_fmt(val) for val in sc.x[i]))
         for i in range(sc.n):
             lines.append(f"v_{i+1} = " + " ".join(_fmt(val) for val in sc.v[i]))
-    sol = config.solver
-    lines += [
-        "",
-        "[solver]",
-        f"rel_tol = {_fmt(sol.rel_tol)}",
-        f"abs_tol = {_fmt(sol.abs_tol)}",
-        f"d_stick = {_fmt(sol.d_stick)}",
-        f"v_stick = {_fmt(sol.v_stick)}",
-        f"n_reg = {sol.n_reg}",
-        f"max_segments = {sol.max_segments}",
-        f"t_end = {_fmt(sol.t_end)}",
-        f"sample_dt = {_fmt(sol.sample_dt)}",
-    ]
+    lines += ["", "[solver]"]
+    for key, kind in _SOLVER_TYPES.items():
+        val = getattr(config.solver, key)
+        lines.append(f"{key} = {val if kind is int else _fmt(val)}")
     if config.twobody is not None:
         tb = config.twobody
         lines += [
@@ -536,12 +517,8 @@ def _cmd_twobody(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_converge(config: RunConfig, out: Path) -> int:
-    sc = config.scenario
-    if sc.mode == "inline":
-        x, v = sc.x, sc.v
-    else:
-        x, v = generate_scenario(sc.n, sc.d, sc.seed, sc.box, sc.speed)
-    runs = run_family(x, v, sc.alpha, config.n_list, config.solver)
+    system = build_system(config.scenario)
+    runs = run_family(system.x, system.v, config.scenario.alpha, config.n_list, config.solver)
     report = cauchy_table(runs, config.n_list)
     lines = ["n,sup_dx,sup_dv,reference_gap_x,reference_gap_v"]
     for k, n in enumerate(report.n_list):

@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import ClusterPartition
 from .errors import DomainError, InsufficientDataError
-from .integrator import STICKING, CollisionEvent, PiecewiseTrajectory
-from .kernels import RegularizedKernel, SingularKernel
+from .integrator import STICKING, CollisionEvent, PiecewiseTrajectory, _fit_floor
 
 __all__ = [
     "FINITE",
@@ -149,15 +149,6 @@ def ordered_sums_check(traj: PiecewiseTrajectory) -> float:
     return max(worst, 0.0)
 
 
-def _collapse_floor(traj: PiecewiseTrajectory) -> float:
-    """Separation below which the working kernel departs the singular law."""
-    kernel = traj.final_state.kernel
-    if isinstance(kernel, (SingularKernel, RegularizedKernel)):
-        reg = RegularizedKernel(alpha=kernel.alpha, n=traj.config.n_reg)
-        return max(4.0 * reg.bridge_end, 1e-13)
-    return 0.0
-
-
 def _group_series(traj: PiecewiseTrajectory, group, rows) -> tuple[np.ndarray, np.ndarray]:
     """(max pairwise distance, per-row x/v slices) helpers for a group."""
     idx = np.asarray(group, dtype=np.intp)
@@ -197,7 +188,7 @@ def holder_exponent(
     dv = traj.v[rows][:, idx, :] - v_ref[None, :, :]
     dv_max = np.sqrt(np.einsum("snd,snd->sn", dv, dv)).max(axis=1)
     diam, _ = _group_series(traj, event.group, rows)
-    floor = _collapse_floor(traj)
+    floor = _fit_floor(traj.final_state.kernel, traj.config)
     prev_min = np.concatenate(([np.inf], np.minimum.accumulate(diam)[:-1]))
     keep = (diam < prev_min) & (dv_max > 0.0) & (diam > floor)
     if keep.sum() < _HOLDER_MIN_SAMPLES:
@@ -283,28 +274,17 @@ def integrability_probe(
 
 
 def divergent_components(records: list[IntegrabilityRecord], n: int) -> list[tuple[int, ...]]:
-    """Connected components of the graph of Divergent pairs.
+    """Connected components of the graph of Divergent pairs, ordered by
+    their smallest member.
 
     Inconclusive edges are left out, so the grouping is conservative:
     it only asserts togetherness the ratio test actually certified.
     """
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    part = ClusterPartition(n)
     for rec in records:
         if rec.classification == DIVERGENT:
-            ra, rb = find(rec.pair[0]), find(rec.pair[1])
-            if ra != rb:
-                parent[rb] = ra
-    comps: dict[int, list[int]] = {}
-    for k in range(n):
-        comps.setdefault(find(k), []).append(k)
-    return [tuple(sorted(v)) for _, v in sorted(comps.items())]
+            part.union(*rec.pair)
+    return sorted(tuple(g) for g in part.groups())
 
 
 def run_diagnostics(traj: PiecewiseTrajectory) -> DiagnosticsReport:

@@ -28,7 +28,6 @@ __all__ = [
     "ClusterPartition",
     "ParticleSystem",
     "make_system",
-    "active_set",
     "acceleration",
     "merge_clusters",
 ]
@@ -128,21 +127,11 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     if not isinstance(kernel, (SingularKernel, RegularizedKernel, CuckerSmaleKernel)):
         raise DomainError(f"not a weight kernel: {kernel!r}")
 
-    n = x.shape[0]
-    part = ClusterPartition(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.array_equal(x[i], x[j]) and np.array_equal(v[i], v[j]):
-                part.union(i, j)
+    part = ClusterPartition(x.shape[0])
+    same = (x[:, None] == x[None]).all(-1) & (v[:, None] == v[None]).all(-1)
+    for i, j in zip(*np.nonzero(np.triu(same, 1))):
+        part.union(int(i), int(j))
     return ParticleSystem(x, v, kernel, part)
-
-
-def active_set(partition: ClusterPartition, i: int) -> list[int]:
-    """Indices of all particles outside the cluster of ``i``."""
-    if not (0 <= i < partition.n):
-        raise DomainError(f"index {i} out of range for {partition.n} particles")
-    root = partition.find(i)
-    return [k for k in range(partition.n) if partition.find(k) != root]
 
 
 def pair_weights(x: np.ndarray, labels: np.ndarray, kernel: WeightKernel) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Event-driven piecewise integration of the alignment dynamics.
 
-The flow is smooth between close encounters, so each solve alternates two
-phases.  A main phase advances the system with an adaptive embedded
-Runge-Kutta stepper (max step capped at the sample spacing) while watching
-the minimum distance between particles of distinct clusters; the first
-time it dips below the sticking distance ``d_stick`` the crossing is
-localized by bisection on the dense output and a probe phase takes over.
+The flow is smooth between close encounters, so :func:`solve_piecewise`
+runs one segment per encounter, each alternating two phases.  A main phase
+advances the system with an adaptive embedded Runge-Kutta stepper (max
+step capped at the sample spacing) while watching the distances of all
+pairs of distinct clusters through a boolean mask of armed pairs (a pair
+inside ``d_stick`` at the segment start is disarmed until it climbs back
+out); the first time an armed pair dips below the sticking distance
+``d_stick`` the crossing is localized by bisection on the dense output and
+a probe phase takes over.
 
 The probe integrates through the encounter at full resolution, recording a
 monitor row per step for the proximal group: its diameter (largest
@@ -39,18 +42,13 @@ trajectories bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import RK45
 
-from .dynamics import (
-    ClusterPartition,
-    ParticleSystem,
-    acceleration_arrays,
-    merge_clusters,
-)
+from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters
 from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
 from .kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
 
@@ -61,10 +59,8 @@ __all__ = [
     "SolverConfig",
     "CollisionEvent",
     "Encounter",
-    "SegmentResult",
     "Segment",
     "PiecewiseTrajectory",
-    "integrate_segment",
     "classify_event",
     "solve_piecewise",
 ]
@@ -149,19 +145,6 @@ class Encounter:
     spread_threshold: Optional[float] = None
 
 
-@dataclass
-class SegmentResult:
-    """Outcome of one integration segment."""
-
-    t_terminal: float
-    state: ParticleSystem
-    encounter: Optional[Encounter]
-    t: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    grid_mask: Optional[np.ndarray] = None
-
-
 @dataclass(frozen=True)
 class Segment:
     """Half-open sample slice ``(t_start, t_end]`` between events."""
@@ -205,6 +188,18 @@ def _working_kernel(kernel, config: SolverConfig):
     raise DomainError(f"not a weight kernel: {kernel!r}")
 
 
+def _fit_floor(kernel, config: SolverConfig) -> float:
+    """Separation below which the working kernel departs from the singular law.
+
+    Collapse fits (the stick-time fit here, the Hölder fit in
+    :mod:`flocksim.diagnostics`) use only separations above it.
+    """
+    work, _ = _working_kernel(kernel, config)
+    if isinstance(work, RegularizedKernel):
+        return max(4.0 * work.bridge_end, 1e-12)
+    return 1e-12
+
+
 class _Driver:
     """Packed right-hand side and pair bookkeeping for a fixed partition."""
 
@@ -217,10 +212,7 @@ class _Driver:
         inter = self.labels[iu] != self.labels[ju]
         self.pi = iu[inter]
         self.pj = ju[inter]
-        if isinstance(self.kernel, RegularizedKernel):
-            self.fit_floor = max(4.0 * self.kernel.bridge_end, 1e-12)
-        else:
-            self.fit_floor = 1e-12
+        self.fit_floor = _fit_floor(system.kernel, config)
 
     @property
     def n_pairs(self) -> int:
@@ -341,14 +333,14 @@ def _check_finite(y: np.ndarray, t: float) -> None:
         raise DivergenceError(f"non-finite state at t={t}")
 
 
-def _bisect_crossing(g, t_lo: float, t_hi: float, tol: float) -> float:
-    """First root of the sign change g(t_lo) > 0 >= g(t_hi), by bisection."""
+def _bisect_crossing(g, level: float, t_lo: float, t_hi: float, tol: float) -> float:
+    """First crossing g(t_lo) > level >= g(t_hi), by bisection."""
     lo, hi = t_lo, t_hi
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
+        if g(mid) > level:
             lo = mid
         else:
             hi = mid
@@ -395,7 +387,8 @@ def _probe(
     group = driver.component(
         y_cross, int(driver.pi[seed]), int(driver.pj[seed]), d_stick * (1.0 + 1e-9)
     )
-    watch = {seed}
+    watch = np.zeros(driver.n_pairs, dtype=bool)
+    watch[seed] = True
 
     solver = RK45(
         driver.rhs,
@@ -454,11 +447,9 @@ def _probe(
         dists = driver.pair_dists(y_now)
         near = dists <= d_stick
         if near.any():
-            # extend the watch list with encounter-adjacent pairs
-            in_group = np.isin(driver.pi, group) | np.isin(driver.pj, group)
-            for p in np.nonzero(near & in_group)[0]:
-                watch.add(int(p))
-        if watch and not any(dists[p] <= d_stick for p in watch):
+            # extend the watch to encounter-adjacent pairs
+            watch |= near & (np.isin(driver.pi, group) | np.isin(driver.pj, group))
+        if not near[watch].any():
             disposition = "rebound"
             break
 
@@ -550,7 +541,9 @@ def _run_segment(
 
     # pairs already inside d_stick at the segment start stay disarmed until
     # they climb back out, so a fresh segment does not instantly retrigger
-    disarmed = set(int(p) for p in np.nonzero(driver.pair_dists(y0) <= config.d_stick)[0])
+    d_stick = config.d_stick
+    armed = driver.pair_dists(y0) > d_stick
+    tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
 
     y_final = y0
     while solver.status == "running":
@@ -566,59 +559,41 @@ def _run_segment(
 
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         ys_sub = dense(ts_sub)
-        tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
         t_lo = t_prev
         d_prev = driver.pair_dists(ys_sub[:, 0])
         s_prev = driver.pair_rel_speeds(ys_sub[:, 0])
         crossing_t = None
         for col in range(1, _NSUB + 1):
+            t_col = float(ts_sub[col])
             d_col = driver.pair_dists(ys_sub[:, col])
             s_col = driver.pair_rel_speeds(ys_sub[:, col])
-            if disarmed:
-                disarmed = {p for p in disarmed if d_col[p] <= config.d_stick}
-            armed_min = math.inf
-            for p in range(driver.n_pairs):
-                if p not in disarmed and d_col[p] < armed_min:
-                    armed_min = d_col[p]
-            if armed_min <= config.d_stick:
-
-                def g(s, _dis=frozenset(disarmed)):
-                    dv = driver.pair_dists(dense(s))
-                    vals = [dv[p] for p in range(driver.n_pairs) if p not in _dis]
-                    return min(vals) - config.d_stick
-
-                crossing_t = _bisect_crossing(g, t_lo, float(ts_sub[col]), tol)
+            armed |= d_col > d_stick
+            if d_col.min(initial=math.inf, where=armed) <= d_stick:
+                crossing_t = _bisect_crossing(
+                    lambda s: driver.pair_dists(dense(s)).min(initial=math.inf, where=armed),
+                    d_stick,
+                    t_lo,
+                    t_col,
+                    tol,
+                )
                 break
             # a fast pair can dip below the threshold and climb back out
             # between columns; chase any pair whose endpoint gap minus the
             # travel it could manage in the subinterval reaches d_stick
-            sub_h = float(ts_sub[col]) - t_lo
-            reach = np.minimum(d_prev, d_col) - sub_h * np.maximum(s_prev, s_col)
-            dipped_t = None
-            for p in np.nonzero(reach <= config.d_stick)[0]:
-                p = int(p)
-                if p in disarmed or d_prev[p] <= config.d_stick:
-                    continue
-                t_m = _golden_min(
-                    lambda s, _p=p: float(driver.pair_dists(dense(s))[_p]),
-                    t_lo,
-                    float(ts_sub[col]),
-                    tol,
-                )
-                if float(driver.pair_dists(dense(t_m))[p]) <= config.d_stick:
-                    t_c = _bisect_crossing(
-                        lambda s, _p=p: float(driver.pair_dists(dense(s))[_p])
-                        - config.d_stick,
-                        t_lo,
-                        t_m,
-                        tol,
-                    )
-                    if dipped_t is None or t_c < dipped_t:
-                        dipped_t = t_c
-            if dipped_t is not None:
-                crossing_t = dipped_t
+            reach = np.minimum(d_prev, d_col) - (t_col - t_lo) * np.maximum(s_prev, s_col)
+            for p in np.flatnonzero(armed & (reach <= d_stick) & (d_prev > d_stick)):
+
+                def gap(s, _p=p):
+                    return float(driver.pair_dists(dense(s))[_p])
+
+                t_m = _golden_min(gap, t_lo, t_col, tol)
+                if gap(t_m) <= d_stick:
+                    t_c = _bisect_crossing(gap, d_stick, t_lo, t_m, tol)
+                    if crossing_t is None or t_c < crossing_t:
+                        crossing_t = t_c
+            if crossing_t is not None:
                 break
-            t_lo = float(ts_sub[col])
+            t_lo = t_col
             d_prev, s_prev = d_col, s_col
 
         if crossing_t is not None:
@@ -655,31 +630,6 @@ def _drift_state(system: ParticleSystem, dt: float) -> ParticleSystem:
     out = system.copy()
     out.x = out.x + dt * out.v
     return out
-
-
-def integrate_segment(
-    system: ParticleSystem, t0: float, t1: float, config: SolverConfig
-) -> SegmentResult:
-    """Advance one smooth segment, stopping at the first close encounter.
-
-    Returns the dense samples, the terminal state, and the raw encounter
-    record when the inter-cluster minimum distance dipped below
-    ``d_stick`` (the probe has then already resolved the encounter's
-    samples; hand the record to :func:`classify_event`).
-    """
-    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
-        raise DomainError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-    n, d = system.x.shape
-    store = _SampleStore(n, d, config.sample_dt)
-    if system.partition.n_clusters == 1:
-        _emit_drift(store, system, t0, t1)
-        t_term, state, enc = t1, _drift_state(system, t1 - t0), None
-    else:
-        t_term, state, enc = _run_segment(system.copy(), t0, t1, config, store)
-    t, x, v, grid_mask = store.arrays()
-    return SegmentResult(
-        t_terminal=t_term, state=state, encounter=enc, t=t, x=x, v=v, grid_mask=grid_mask
-    )
 
 
 def _stick_time_fit(enc: Encounter, config: SolverConfig) -> Optional[float]:

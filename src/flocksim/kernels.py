@@ -10,9 +10,9 @@ Three weight families drive the velocity-alignment force:
   two branches with a monotone C1 cubic Hermite bridge.
 * :class:`CuckerSmaleKernel` -- the bounded weight ``K*(1+s**2)**(-beta/2)``.
 
-:class:`Primitive` evaluates the antiderivative of the singular weight,
-``s**(1-alpha)/(1-alpha)``, which is the workhorse of the two-body
-analysis in :mod:`flocksim.twobody`.
+:func:`eval_weight` evaluates any of them at validated separations.  The
+antiderivative of the singular weight, ``s**(1-alpha)/(1-alpha)``, belongs
+to the two-body analysis in :mod:`flocksim.twobody`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ __all__ = [
     "SingularKernel",
     "RegularizedKernel",
     "CuckerSmaleKernel",
-    "Primitive",
     "WeightKernel",
     "eval_weight",
-    "eval_primitive",
 ]
 
 
@@ -143,19 +141,6 @@ class CuckerSmaleKernel:
 WeightKernel = Union[SingularKernel, RegularizedKernel, CuckerSmaleKernel]
 
 
-@dataclass(frozen=True)
-class Primitive:
-    """Antiderivative ``s**(1-alpha)/(1-alpha)`` of the singular weight."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-    def value(self, s: np.ndarray) -> np.ndarray:
-        return s ** (1.0 - self.alpha) / (1.0 - self.alpha)
-
-
 def eval_weight(kernel: WeightKernel, s):
     """Evaluate a weight kernel at separation(s) ``s``.
 
@@ -171,14 +156,3 @@ def eval_weight(kernel: WeightKernel, s):
         return float(out)
     return out
 
-
-def eval_primitive(primitive: Primitive, s):
-    """Evaluate the singular-weight antiderivative at ``s`` (scalar or array)."""
-    if not isinstance(primitive, Primitive):
-        raise DomainError(f"not a primitive: {primitive!r}")
-    arr = np.asarray(s, dtype=float)
-    _check_separation(arr)
-    out = primitive.value(arr)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError
-from .kernels import CuckerSmaleKernel, Primitive
+from .kernels import CuckerSmaleKernel, _check_alpha
 
 __all__ = [
     "TwoBodyProblem",
@@ -52,6 +52,11 @@ def _check_phi0(phi0: float) -> None:
         raise DomainError(f"initial separation must be positive and finite, got {phi0!r}")
 
 
+def _primitive(s, alpha: float):
+    """Antiderivative ``P(s) = s**(1-alpha)/(1-alpha)`` of the singular weight."""
+    return s ** (1.0 - alpha) / (1.0 - alpha)
+
+
 @dataclass(frozen=True)
 class TwoBodyProblem:
     """Initial separation, separation rate, and weight exponent."""
@@ -64,7 +69,7 @@ class TwoBodyProblem:
         _check_phi0(self.phi0)
         if not np.isfinite(self.dphi0):
             raise DomainError(f"initial separation rate must be finite, got {self.dphi0!r}")
-        Primitive(self.alpha)  # validates alpha
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,14 @@ TwoBodyOutcome = Union[StickFiniteTime, CollideNonstick, NoCollision]
 def critical_velocity(phi0: float, alpha: float) -> float:
     """Approach rate that lands the pair at zero separation with zero speed."""
     _check_phi0(phi0)
-    return -2.0 * Primitive(alpha).value(float(phi0))
+    _check_alpha(alpha)
+    return -2.0 * _primitive(float(phi0), alpha)
 
 
 def stick_time(phi0: float, alpha: float) -> float:
     """Time for the critical orbit to collapse: ``(1-alpha) phi0**alpha / (2 alpha)``."""
     _check_phi0(phi0)
-    Primitive(alpha)
+    _check_alpha(alpha)
     return (1.0 - alpha) * float(phi0) ** alpha / (2.0 * alpha)
 
 
@@ -106,7 +112,7 @@ def phi_critical(phi0: float, alpha: float, t) -> np.ndarray:
     reaching zero exactly at :func:`stick_time`.
     """
     _check_phi0(phi0)
-    Primitive(alpha)
+    _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
     t0 = stick_time(phi0, alpha)
     if np.any(t_arr < 0.0) or np.any(t_arr > t0 * (1.0 + 1e-12)):
@@ -124,17 +130,16 @@ def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
     Separating data (``dphi0 > 0``) trivially never collides and is
     reported as :class:`NoCollision` with an infinite sentinel limit.
     """
-    prim = Primitive(problem.alpha)
     if problem.dphi0 > 0.0:
         return NoCollision(phi_limit=math.inf)
-    c = 2.0 * prim.value(problem.phi0) + problem.dphi0
+    c = 2.0 * _primitive(problem.phi0, problem.alpha) + problem.dphi0
     if c == 0.0:
         return StickFiniteTime(t0=stick_time(problem.phi0, problem.alpha))
     if c < 0.0:
         speed = -c
         # Time to contact: integrate d phi / |phi'| with |phi'| = 2 P(phi) + |c|.
         val, _ = quad(
-            lambda u: 1.0 / (2.0 * prim.value(u) + speed),
+            lambda u: 1.0 / (2.0 * _primitive(u, problem.alpha) + speed),
             0.0,
             problem.phi0,
             epsabs=T_HIT_TOL,
@@ -167,7 +172,7 @@ def level_time_bound_check(phi0: float, alpha: float, n_max: int) -> list[LevelG
     with the normalized gap, the bound, and the comparison.
     """
     _check_phi0(phi0)
-    Primitive(alpha)
+    _check_alpha(alpha)
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     coeff = (1.0 - alpha) / (2.0 * alpha)

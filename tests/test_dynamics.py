@@ -19,7 +19,6 @@ from flocksim import (
     SingularEvaluationError,
     SingularKernel,
     acceleration,
-    active_set,
     make_system,
     merge_clusters,
     pair_weights,
@@ -98,20 +97,6 @@ class TestMakeSystem:
         c = s.copy()
         c.x[0, 0] += 1.0
         assert s.x[0, 0] != c.x[0, 0]
-
-
-class TestActiveSet:
-    def test_excludes_own_cluster(self):
-        s = make_system(
-            [[0.0], [0.0], [1.0]], [[1.0], [1.0], [0.0]], SingularKernel(alpha=0.5)
-        )
-        assert active_set(s.partition, 0) == [2]
-        assert active_set(s.partition, 2) == [0, 1]
-
-    def test_index_range(self):
-        p = ClusterPartition(2)
-        with pytest.raises(DomainError):
-            active_set(p, 2)
 
 
 class TestPairWeights:

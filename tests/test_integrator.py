@@ -18,10 +18,10 @@ from flocksim import (
     UNRESOLVED,
     SingularKernel,
     SolverConfig,
-    classify_event,
-    integrate_segment,
+    critical_velocity,
     make_system,
     solve_piecewise,
+    stick_time,
 )
 from conftest import critical_two_body
 
@@ -135,6 +135,27 @@ class TestCriticalSticking:
         np.testing.assert_allclose(means, 0.0, atol=1e-12)
 
 
+class TestTwoClusterCollapse:
+    """Clusters of m and N-m coincident particles closing at the critical
+    rate.  The 2/N coupling gives their separation the two-body law for any
+    split, so they stick at the two-body stick time."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_sticking_at_closed_form_time(self, d):
+        n, alpha, phi0 = 6, 0.5, 1.0
+        e = np.array([1.0, 2.0, 3.0][:d]) / np.linalg.norm([1.0, 2.0, 3.0][:d])
+        closing = -critical_velocity(phi0, alpha)
+        in_a = np.isin(np.arange(n), [1, 4])[:, None]  # m = 2, interleaved rows
+        x = np.where(in_a, -0.5 * phi0 * e, 0.5 * phi0 * e)
+        v = np.where(in_a, 0.5 * closing * e, -0.5 * closing * e)
+        system = make_system(x, v, SingularKernel(alpha=alpha))
+        assert system.partition.groups() == [[0, 2, 3, 5], [1, 4]]
+        traj = solve_piecewise(system, SolverConfig(t_end=0.6))
+        assert [ev.kind for ev in traj.events] == [STICKING]
+        assert traj.events[0].group == tuple(range(n))
+        assert abs(traj.events[0].t_event - stick_time(phi0, alpha)) < 1e-6
+
+
 class TestReboundAndStall:
     def test_supercritical_rebound(self, supercritical_run):
         traj = supercritical_run
@@ -204,23 +225,6 @@ class TestDeterminismAndStability:
 
 
 class TestSegmentApi:
-    def test_segment_without_encounter(self):
-        res = integrate_segment(_two_body(0.01), 0.0, 0.3, SolverConfig(t_end=0.3))
-        assert res.encounter is None
-        assert res.t_terminal == 0.3
-        assert res.t[0] == 0.0 and res.t[-1] == 0.3
-
-    def test_segment_reports_encounter(self):
-        res = integrate_segment(_two_body(2.0), 0.0, 1.0, SolverConfig(t_end=1.0))
-        assert res.encounter is not None
-        event = classify_event(res.encounter, SolverConfig(t_end=1.0))
-        assert event.kind == STICKING
-        assert abs(event.t_event - 0.5) < 1e-3
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(DomainError):
-            integrate_segment(_two_body(0.1), 1.0, 1.0, SolverConfig())
-
     def test_budget_exhaustion(self):
         with pytest.raises(ContinuationError):
             solve_piecewise(_two_body(2.5), SolverConfig(t_end=2.0, max_segments=1))

@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 from flocksim import (
     CuckerSmaleKernel,
     DomainError,
-    Primitive,
     RegularizedKernel,
     SingularKernel,
-    eval_primitive,
+    critical_velocity,
     eval_weight,
 )
+
+
+def _primitive(s, alpha):
+    """The singular weight's antiderivative P, from the critical rate -2 P(s)."""
+    return -0.5 * critical_velocity(s, alpha)
 
 
 class TestSingular:
@@ -149,37 +153,31 @@ class TestCuckerSmale:
 
 class TestPrimitive:
     def test_known_values(self):
-        p = Primitive(alpha=0.5)
-        assert eval_primitive(p, 1.0) == 2.0
-        assert eval_primitive(p, 4.0) == 4.0
-        assert eval_primitive(Primitive(alpha=0.25), 1.0) == pytest.approx(4.0 / 3.0)
+        assert _primitive(1.0, 0.75) == 4.0
+        assert _primitive(16.0, 0.75) == 8.0
+        assert _primitive(16.0, 0.25) == pytest.approx(32.0 / 3.0)
 
     def test_zero(self):
-        assert eval_primitive(Primitive(alpha=0.5), 0.0) == 0.0
+        # P vanishes at contact: a pair starting in contact needs no approach
+        assert _primitive(1e-300, 0.5) == pytest.approx(0.0, abs=1e-149)
 
     @given(alpha=st.floats(0.1, 0.9), s=st.floats(0.01, 100.0))
     @settings(max_examples=50, deadline=None)
     def test_derivative_matches_weight(self, alpha, s):
-        p = Primitive(alpha=alpha)
         k = SingularKernel(alpha=alpha)
         h = 1e-6 * s
-        slope = (eval_primitive(p, s + h) - eval_primitive(p, s - h)) / (2 * h)
+        slope = (_primitive(s + h, alpha) - _primitive(s - h, alpha)) / (2 * h)
         assert slope == pytest.approx(eval_weight(k, s), rel=1e-7)
 
     def test_strictly_increasing(self):
-        p = Primitive(alpha=0.75)
-        s = np.linspace(0.0, 5.0, 400)
-        assert np.all(np.diff(eval_primitive(p, s)) > 0.0)
+        s = np.linspace(0.0, 5.0, 400)[1:]
+        assert np.all(np.diff([_primitive(si, 0.75) for si in s]) > 0.0)
 
 
 class TestEvalGuards:
     def test_eval_weight_rejects_non_kernel(self):
         with pytest.raises(DomainError):
             eval_weight(object(), 1.0)
-
-    def test_eval_primitive_rejects_non_primitive(self):
-        with pytest.raises(DomainError):
-            eval_primitive(SingularKernel(alpha=0.5), 1.0)
 
     def test_scalar_in_scalar_out(self):
         out = eval_weight(SingularKernel(alpha=0.5), 4.0)

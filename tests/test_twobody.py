@@ -166,15 +166,13 @@ class TestClassify:
 
     def test_conserved_quantity_along_orbit(self):
         # 2 Psi(phi) + phi' stays fixed on the supercritical orbit
-        from flocksim import Primitive, eval_primitive
-
-        prim = Primitive(alpha=0.5)
-        c0 = 2.0 * eval_primitive(prim, 1.0) - 5.0
+        # 2 Psi(phi) is minus the critical rate from phi
+        c0 = -critical_velocity(1.0, 0.5) - 5.0
         t, p, q = 0.0, 1.0, -5.0
         worst = 0.0
         while p > 1e-4:
             t, p, q = _rk4_separation(p, q, 0.5, 1e-6, 0.02, 1e-4)
-            worst = max(worst, abs(2.0 * eval_primitive(prim, p) + q - c0))
+            worst = max(worst, abs(-critical_velocity(p, 0.5) + q - c0))
         assert worst < 1e-8
 
 
