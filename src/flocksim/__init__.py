@@ -51,7 +51,6 @@ from .integrator import (
     UNRESOLVED,
     CollisionEvent,
     PiecewiseTrajectory,
-    Segment,
     SolverConfig,
     classify_event,
     solve_piecewise,
@@ -106,7 +105,6 @@ __all__ = [
     "bounded_weight_floor_check",
     "SolverConfig",
     "CollisionEvent",
-    "Segment",
     "PiecewiseTrajectory",
     "classify_event",
     "solve_piecewise",

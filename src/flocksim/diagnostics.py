@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ClusterPartition
+from .dynamics import ClusterPartition, make_system
 from .errors import DomainError, InsufficientDataError
 from .integrator import STICKING, CollisionEvent, PiecewiseTrajectory, _fit_floor
 
@@ -149,15 +149,6 @@ def ordered_sums_check(traj: PiecewiseTrajectory) -> float:
     return max(worst, 0.0)
 
 
-def _group_series(traj: PiecewiseTrajectory, group, rows) -> tuple[np.ndarray, np.ndarray]:
-    """(max pairwise distance, per-row x/v slices) helpers for a group."""
-    idx = np.asarray(group, dtype=np.intp)
-    x = traj.x[rows][:, idx, :]
-    dx = x[:, None, :, :] - x[:, :, None, :]
-    diam = np.sqrt(np.einsum("sijd,sijd->sij", dx, dx).max(axis=(1, 2)))
-    return diam, idx
-
-
 def holder_exponent(
     traj: PiecewiseTrajectory, event: CollisionEvent, window_frac: float = 0.1
 ) -> HolderFit:
@@ -187,7 +178,9 @@ def holder_exponent(
     v_ref = traj.v[ref_idx][idx]
     dv = traj.v[rows][:, idx, :] - v_ref[None, :, :]
     dv_max = np.sqrt(np.einsum("snd,snd->sn", dv, dv)).max(axis=1)
-    diam, _ = _group_series(traj, event.group, rows)
+    x = traj.x[rows][:, idx, :]
+    dx = x[:, None, :, :] - x[:, :, None, :]
+    diam = np.sqrt(np.einsum("sijd,sijd->sij", dx, dx).max(axis=(1, 2)))
     floor = _fit_floor(traj.final_state.kernel, traj.config)
     prev_min = np.concatenate(([np.inf], np.minimum.accumulate(diam)[:-1]))
     keep = (diam < prev_min) & (dv_max > 0.0) & (diam > floor)
@@ -303,16 +296,21 @@ def run_diagnostics(traj: PiecewiseTrajectory) -> DiagnosticsReport:
         except InsufficientDataError:
             continue
 
+    # probe the pairs of each event's group that were in distinct clusters
+    # just before it; the partition follows the run's merges
     integrability: list[IntegrabilityRecord] = []
+    part = make_system(traj.x[0], traj.v[0], traj.final_state.kernel).partition
     for event in traj.events:
-        group = event.group
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                pair = (group[a], group[b])
-                try:
-                    integrability.append(integrability_probe(traj, pair, event.t_event))
-                except (DomainError, InsufficientDataError):
-                    integrability.append(IntegrabilityRecord(pair, math.nan, INCONCLUSIVE))
+        pi, pj = part.inter_pairs()
+        in_group = np.isin(pi, event.group) & np.isin(pj, event.group)
+        for pair in zip(pi[in_group].tolist(), pj[in_group].tolist()):
+            try:
+                integrability.append(integrability_probe(traj, pair, event.t_event))
+            except (DomainError, InsufficientDataError):
+                integrability.append(IntegrabilityRecord(pair, math.nan, INCONCLUSIVE))
+        if event.kind == STICKING:
+            for k in event.group[1:]:
+                part.union(event.group[0], k)
 
     return DiagnosticsReport(
         mean_velocity_drift=drift,

@@ -12,7 +12,8 @@ where the sum runs over all k outside i's cluster.  Stuck particles still
 count individually in the sums of others, so a cluster of size m pulls
 with multiplicity m.  The 2/N coupling is chosen so that two particles
 obey the separation equation ``d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt``
-solved in closed form by the twobody module.
+solved in closed form by the twobody module.  The kernel is evaluated only
+on the pairs of :meth:`ClusterPartition.inter_pairs`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class ClusterPartition:
     """Union-find over particle indices with path compression.
 
     Merging is monotone: clusters only ever grow.  ``labels`` returns the
-    canonical root of every index as an array, which the force evaluation
-    uses to mask same-cluster pairs.
+    canonical root of every index as an array; ``inter_pairs`` the pairs
+    the force and the event watch act on.
     """
 
     def __init__(self, n: int):
@@ -73,6 +74,14 @@ class ClusterPartition:
 
     def labels(self) -> np.ndarray:
         return np.array([self.find(i) for i in range(self.n)], dtype=np.intp)
+
+    def inter_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays ``(i, j)``, ``i < j``, of the pairs in distinct
+        clusters, in ``np.triu_indices`` order."""
+        labels = self.labels()
+        iu, ju = np.triu_indices(self.n, k=1)
+        inter = labels[iu] != labels[ju]
+        return iu[inter], ju[inter]
 
     def groups(self) -> list[list[int]]:
         by_root: dict[int, list[int]] = {}
@@ -134,29 +143,28 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     return ParticleSystem(x, v, kernel, part)
 
 
-def pair_weights(x: np.ndarray, labels: np.ndarray, kernel: WeightKernel) -> np.ndarray:
-    """Symmetric matrix of kernel weights with same-cluster pairs zeroed.
+def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:
+    """Symmetric matrix of kernel weights on ``pairs`` (index arrays from
+    :meth:`ClusterPartition.inter_pairs`), zero elsewhere.
 
     Raises :class:`SingularEvaluationError` if the singular kernel meets a
-    zero separation between distinct clusters.
+    zero separation on one of them.
     """
-    diff = x[None, :, :] - x[:, None, :]
-    dist = np.sqrt(np.einsum("ikd,ikd->ik", diff, diff))
-    inter = labels[:, None] != labels[None, :]
-    if isinstance(kernel, SingularKernel) and np.any(inter & (dist == 0.0)):
+    pi, pj = pairs
+    diff = x[pj] - x[pi]
+    dist = np.sqrt(np.einsum("pd,pd->p", diff, diff))
+    if isinstance(kernel, SingularKernel) and np.any(dist == 0.0):
         raise SingularEvaluationError(
             "zero separation between distinct clusters under the singular weight"
         )
-    w = kernel.weight(dist)
-    w[~inter] = 0.0
+    w = np.zeros((x.shape[0], x.shape[0]))
+    w[pi, pj] = w[pj, pi] = kernel.weight(dist)
     return w
 
 
-def acceleration_arrays(
-    x: np.ndarray, v: np.ndarray, labels: np.ndarray, kernel: WeightKernel
-) -> np.ndarray:
+def acceleration_arrays(x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:
     """Force rows for raw arrays; the hot path behind :func:`acceleration`."""
-    w = pair_weights(x, labels, kernel)
+    w = pair_weights(x, pairs, kernel)
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
     # The 2/N coupling makes the two-particle system reduce exactly to the
@@ -171,7 +179,7 @@ def acceleration(system: ParticleSystem) -> np.ndarray:
     Rows of stuck particles are identical, and the column means vanish up
     to roundoff, so the mean velocity is a conserved quantity of the flow.
     """
-    return acceleration_arrays(system.x, system.v, system.partition.labels(), system.kernel)
+    return acceleration_arrays(system.x, system.v, system.partition.inter_pairs(), system.kernel)
 
 
 def merge_clusters(system: ParticleSystem, group) -> ParticleSystem:

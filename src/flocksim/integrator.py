@@ -3,12 +3,16 @@
 The flow is smooth between close encounters, so :func:`solve_piecewise`
 runs one segment per encounter, each alternating two phases.  A main phase
 advances the system with an adaptive embedded Runge-Kutta stepper (max
-step capped at the sample spacing) while watching the distances of all
-pairs of distinct clusters through a boolean mask of armed pairs (a pair
+step capped at the sample spacing) while watching the distances of the
+pairs of distinct clusters (``ClusterPartition.inter_pairs``, the same
+pairs the force acts on) through a boolean mask of armed pairs (a pair
 inside ``d_stick`` at the segment start is disarmed until it climbs back
-out); the first time an armed pair dips below the sticking distance
-``d_stick`` the crossing is localized by bisection on the dense output and
-a probe phase takes over.
+out).  Each step's dense output is read once, as a block of subsample
+columns: the per-column armed masks, threshold hits and chase candidates
+of the whole block are found together, and only the columns with one are
+visited, in order.  The first time an armed pair dips below the sticking
+distance ``d_stick`` the crossing is localized by bisection on the dense
+output and a probe phase takes over.
 
 The probe integrates through the encounter at full resolution, recording a
 monitor row per step for the proximal group: its diameter (largest
@@ -59,7 +63,6 @@ __all__ = [
     "SolverConfig",
     "CollisionEvent",
     "Encounter",
-    "Segment",
     "PiecewiseTrajectory",
     "classify_event",
     "solve_piecewise",
@@ -145,16 +148,6 @@ class Encounter:
     spread_threshold: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Half-open sample slice ``(t_start, t_end]`` between events."""
-
-    t_start: float
-    t_end: float
-    lo: int
-    hi: int
-
-
 @dataclass
 class PiecewiseTrajectory:
     """Sampled solution, its events, and the final state."""
@@ -164,7 +157,6 @@ class PiecewiseTrajectory:
     v: np.ndarray
     grid_mask: np.ndarray
     events: list[CollisionEvent]
-    segments: list[Segment]
     final_state: ParticleSystem
     config: SolverConfig
 
@@ -207,11 +199,8 @@ class _Driver:
         self.kernel, self.alpha = _working_kernel(system.kernel, config)
         self.n, self.d = system.x.shape
         self.nd = self.n * self.d
-        self.labels = system.partition.labels()
-        iu, ju = np.triu_indices(self.n, k=1)
-        inter = self.labels[iu] != self.labels[ju]
-        self.pi = iu[inter]
-        self.pj = ju[inter]
+        self.pairs = system.partition.inter_pairs()
+        self.pi, self.pj = self.pairs
         self.fit_floor = _fit_floor(system.kernel, config)
 
     @property
@@ -221,7 +210,7 @@ class _Driver:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         x = y[: self.nd].reshape(self.n, self.d)
         v = y[self.nd :].reshape(self.n, self.d)
-        a = acceleration_arrays(x, v, self.labels, self.kernel)
+        a = acceleration_arrays(x, v, self.pairs, self.kernel)
         return np.concatenate([v.ravel(), a.ravel()])
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,37 +219,39 @@ class _Driver:
             y[self.nd :].reshape(self.n, self.d).copy(),
         )
 
+    def _pair_norms(self, z: np.ndarray) -> np.ndarray:
+        """Pair norms |z_j - z_i| of ``(n*d,)`` rows, or one row per column of
+        ``(n*d, C)``; flat ``(C*P, d)`` differences round like one column."""
+        rows = np.ascontiguousarray(z.T).reshape(-1, self.n, self.d)
+        diff = np.take(rows, self.pj, axis=1)
+        diff -= np.take(rows, self.pi, axis=1)
+        diff = diff.reshape(-1, self.d)
+        out = np.einsum("pd,pd->p", diff, diff)
+        np.sqrt(out, out=out)
+        return out.reshape(z.shape[1:] + (self.n_pairs,))
+
     def pair_dists(self, y: np.ndarray) -> np.ndarray:
-        x = y[: self.nd].reshape(self.n, self.d)
-        diff = x[self.pj] - x[self.pi]
-        return np.sqrt(np.einsum("pd,pd->p", diff, diff))
+        return self._pair_norms(y[: self.nd])
 
     def pair_rel_speeds(self, y: np.ndarray) -> np.ndarray:
-        v = y[self.nd :].reshape(self.n, self.d)
-        diff = v[self.pj] - v[self.pi]
-        return np.sqrt(np.einsum("pd,pd->p", diff, diff))
+        return self._pair_norms(y[self.nd :])
 
-    def min_dist(self, y: np.ndarray) -> float:
-        if self.n_pairs == 0:
-            return math.inf
-        return float(self.pair_dists(y).min())
-
-    def component(self, y: np.ndarray, seed_i: int, seed_j: int, threshold: float) -> tuple[int, ...]:
-        """Particles reachable from the seed pair through gaps <= threshold."""
+    def component(
+        self, y: np.ndarray, dists: np.ndarray, threshold: float
+    ) -> tuple[int, tuple[int, ...]]:
+        """The closest pair (index into ``dists``, the pair distances of
+        ``y``) and the particles reachable from it through gaps <= threshold."""
         x = y[: self.nd].reshape(self.n, self.d)
         diff = x[None, :, :] - x[:, None, :]
-        dist = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-        adj = dist <= threshold
-        seen = {int(seed_i), int(seed_j)}
-        frontier = list(seen)
-        while frontier:
-            i = frontier.pop()
-            for k in np.nonzero(adj[i])[0]:
-                k = int(k)
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append(k)
-        return tuple(sorted(seen))
+        adj = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff)) <= threshold
+        seed = int(np.argmin(dists))
+        reach = np.zeros(self.n, dtype=bool)
+        reach[[self.pi[seed], self.pj[seed]]] = True
+        while True:
+            grown = reach | adj[reach].any(axis=0)
+            if np.array_equal(grown, reach):
+                return seed, tuple(np.flatnonzero(reach).tolist())
+            reach = grown
 
     def group_stats(self, y: np.ndarray, group) -> tuple[float, float]:
         """(diameter, velocity spread) over a particle group."""
@@ -274,36 +265,24 @@ class _Driver:
         return diam, spread
 
 
-def _pack(system: ParticleSystem) -> np.ndarray:
-    return np.concatenate([system.x.ravel(), system.v.ravel()])
-
-
 class _SampleStore:
-    """Strictly increasing sample rows with a uniform-grid flag."""
+    """Strictly increasing packed state rows with a uniform-grid flag."""
 
     def __init__(self, n: int, d: int, sample_dt: float):
         self.n = n
         self.d = d
         self.sample_dt = sample_dt
         self.ts: list[float] = []
-        self.xs: list[np.ndarray] = []
-        self.vs: list[np.ndarray] = []
-        self.grid: list[bool] = []
+        self.ys: list[np.ndarray] = []
 
-    def emit(self, t: float, x: np.ndarray, v: np.ndarray, is_grid: bool) -> None:
+    def emit(self, t: float, y: np.ndarray) -> None:
         if self.ts:
             if t == self.ts[-1]:
                 return
             if t < self.ts[-1]:
                 raise AssertionError(f"samples out of order: {t} after {self.ts[-1]}")
         self.ts.append(float(t))
-        self.xs.append(np.array(x, dtype=float))
-        self.vs.append(np.array(v, dtype=float))
-        self.grid.append(bool(is_grid))
-
-    def emit_y(self, t: float, y: np.ndarray, is_grid: bool) -> None:
-        nd = self.n * self.d
-        self.emit(t, y[:nd].reshape(self.n, self.d), y[nd:].reshape(self.n, self.d), is_grid)
+        self.ys.append(np.array(y, dtype=float))
 
     def emit_grid_range(self, evaluate, t_lo: float, t_hi: float) -> None:
         """Emit rows at grid times in ``(t_lo, t_hi]``, from ``evaluate(t) -> y``."""
@@ -313,24 +292,40 @@ class _SampleStore:
             k += 1
         tg = k * dt
         while tg <= t_hi:
-            self.emit_y(tg, evaluate(tg), True)
+            self.emit(tg, evaluate(tg))
             k += 1
             tg = k * dt
 
     def arrays(self):
+        """(t, x, v, grid mask); a row is on the grid when ``round(t/dt)*dt == t``,
+        which holds for every time ``emit_grid_range`` produces."""
         t = np.array(self.ts, dtype=float)
-        x = np.array(self.xs, dtype=float).reshape(len(self.ts), self.n, self.d)
-        v = np.array(self.vs, dtype=float).reshape(len(self.ts), self.n, self.d)
-        return t, x, v, np.array(self.grid, dtype=bool)
+        y = np.array(self.ys, dtype=float).reshape(len(t), 2, self.n, self.d)
+        dt = self.sample_dt
+        return t, y[:, 0], y[:, 1], np.round(t / dt) * dt == t
 
 
-def _is_grid_time(t: float, dt: float) -> bool:
-    return round(t / dt) * dt == t
+def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config: SolverConfig):
+    return RK45(
+        driver.rhs,
+        t0,
+        y0,
+        t_bound,
+        max_step=config.sample_dt,
+        rtol=config.rel_tol,
+        atol=config.abs_tol,
+    )
 
 
-def _check_finite(y: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(y)):
-        raise DivergenceError(f"non-finite state at t={t}")
+def _steps(solver, where: str):
+    """Step ``solver`` to its bound, yielding ``(t_old, t, y, dense)`` per step."""
+    while solver.status == "running":
+        msg = solver.step()
+        if solver.status == "failed":
+            raise LocalizationError(f"step size underflow {where}: {msg}")
+        if not np.all(np.isfinite(solver.y)):
+            raise DivergenceError(f"non-finite state at t={solver.t}")
+        yield solver.t_old, solver.t, solver.y, solver.dense_output()
 
 
 def _bisect_crossing(g, level: float, t_lo: float, t_hi: float, tol: float) -> float:
@@ -383,22 +378,11 @@ def _probe(
     phi_deep = d_stick / _PHI_DEEP_FACTOR
 
     dists0 = driver.pair_dists(y_cross)
-    seed = int(np.argmin(dists0))
-    group = driver.component(
-        y_cross, int(driver.pi[seed]), int(driver.pj[seed]), d_stick * (1.0 + 1e-9)
-    )
+    seed, group = driver.component(y_cross, dists0, d_stick * (1.0 + 1e-9))
     watch = np.zeros(driver.n_pairs, dtype=bool)
     watch[seed] = True
 
-    solver = RK45(
-        driver.rhs,
-        t_cross,
-        y_cross,
-        t_bound,
-        max_step=config.sample_dt,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-    )
+    solver = _stepper(driver, t_cross, y_cross, t_bound, config)
 
     diam0, spread0 = driver.group_stats(y_cross, group)
     mon_t = [t_cross]
@@ -410,38 +394,28 @@ def _probe(
     best_dense = None
     best_lo = best_hi = t_cross
 
-    disposition = "budget"
+    disposition = "horizon"
     t_threshold = None
     diam_threshold = None
     spread_threshold = None
     t_cur, y_cur = t_cross, y_cross
 
-    for _ in range(_MAX_PROBE_STEPS):
-        if solver.status != "running":
-            disposition = "horizon"
-            break
-        msg = solver.step()
-        if solver.status == "failed":
-            raise LocalizationError(f"step size underflow during encounter probe: {msg}")
-        _check_finite(solver.y, solver.t)
-        dense = solver.dense_output()
-        t_prev, t_now = solver.t_old, solver.t
-        y_now = solver.y
-
-        # track the closest approach at subsample resolution
+    steps = _steps(solver, "during encounter probe")
+    for k, (t_prev, t_now, y_now, dense) in enumerate(steps, 1):
+        # track the closest approach at subsample resolution: the first
+        # column holding the smallest distance, if it beats the best so far
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
-        ys_sub = dense(ts_sub)
-        for col in range(1, _NSUB + 1):
-            val = driver.min_dist(ys_sub[:, col])
-            if val < best_val:
-                best_val = val
-                best_t = float(ts_sub[col])
-                best_dense = dense
-                best_lo = float(ts_sub[max(col - 1, 0)])
-                best_hi = float(ts_sub[min(col + 1, _NSUB)])
+        col_min = driver.pair_dists(dense(ts_sub)[:, 1:]).min(axis=1)
+        c = int(np.argmin(col_min))
+        if col_min[c] < best_val:
+            best_val = float(col_min[c])
+            best_t = float(ts_sub[c + 1])
+            best_dense = dense
+            best_lo = float(ts_sub[c])
+            best_hi = float(ts_sub[min(c + 2, _NSUB)])
 
         store.emit_grid_range(dense, t_prev, t_now)
-        store.emit_y(t_now, y_now, _is_grid_time(t_now, config.sample_dt))
+        store.emit(t_now, y_now)
         t_cur, y_cur = t_now, y_now
 
         dists = driver.pair_dists(y_now)
@@ -453,10 +427,7 @@ def _probe(
             disposition = "rebound"
             break
 
-        seed_now = int(np.argmin(dists))
-        group = driver.component(
-            y_now, int(driver.pi[seed_now]), int(driver.pj[seed_now]), d_stick
-        )
+        _, group = driver.component(y_now, dists, d_stick)
         diam, spread = driver.group_stats(y_now, group)
         mon_t.append(t_now)
         mon_diam.append(diam)
@@ -475,25 +446,24 @@ def _probe(
                 diam_threshold = diam
                 spread_threshold = spread
                 break
+        if k == _MAX_PROBE_STEPS:
+            disposition = "budget"
+            break
 
     # refine the closest approach inside its bracketing subinterval
     t_min, min_dist = best_t, best_val
     spread_at_min = mon_spread[-1]
     if best_dense is not None:
         tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
-        t_min = _golden_min(lambda s: driver.min_dist(best_dense(s)), best_lo, best_hi, tol)
+        t_min = _golden_min(lambda s: driver.pair_dists(best_dense(s)).min(), best_lo, best_hi, tol)
         y_min = best_dense(t_min)
-        min_dist = driver.min_dist(y_min)
         dmin = driver.pair_dists(y_min)
-        seed_min = int(np.argmin(dmin))
-        group_min = driver.component(
-            y_min, int(driver.pi[seed_min]), int(driver.pj[seed_min]), d_stick
-        )
+        seed_min, group_min = driver.component(y_min, dmin, d_stick)
+        min_dist = dmin[seed_min]
         _, spread_at_min = driver.group_stats(y_min, group_min)
         if disposition == "rebound":
             group = group_min
 
-    end_dists = driver.pair_dists(y_cur)
     enc = Encounter(
         t_cross=t_cross,
         group=tuple(group),
@@ -503,7 +473,7 @@ def _probe(
         spread_at_min=float(spread_at_min),
         t_probe_end=float(t_cur),
         end_spread=float(mon_spread[-1]),
-        end_min_dist=float(end_dists.min()) if len(end_dists) else math.inf,
+        end_min_dist=float(driver.pair_dists(y_cur).min()),
         monitor_t=np.array(mon_t),
         monitor_diam=np.array(mon_diam),
         monitor_spread=np.array(mon_spread),
@@ -525,19 +495,10 @@ def _run_segment(
     store: _SampleStore,
 ) -> tuple[float, ParticleSystem, Optional[Encounter]]:
     driver = _Driver(system, config)
-    y0 = _pack(system)
+    y0 = np.concatenate([system.x.ravel(), system.v.ravel()])
     span = t1 - t0
-    store.emit_y(t0, y0, _is_grid_time(t0, config.sample_dt))
-
-    solver = RK45(
-        driver.rhs,
-        t0,
-        y0,
-        t1,
-        max_step=config.sample_dt,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-    )
+    store.emit(t0, y0)
+    solver = _stepper(driver, t0, y0, t1, config)
 
     # pairs already inside d_stick at the segment start stay disarmed until
     # they climb back out, so a fresh segment does not instantly retrigger
@@ -545,43 +506,38 @@ def _run_segment(
     armed = driver.pair_dists(y0) > d_stick
     tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
 
-    y_final = y0
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise LocalizationError(
-                f"step size underflow below {_BISECT_TOL_FACTOR * span:.3e}"
-                f" while advancing the segment: {msg}"
-            )
-        _check_finite(solver.y, solver.t)
-        dense = solver.dense_output()
-        t_prev, t_now = solver.t_old, solver.t
-
+    t_end, y_end, enc = t1, y0, None
+    steps = _steps(solver, f"below {_BISECT_TOL_FACTOR * span:.3e} while advancing the segment")
+    for t_prev, t_now, y_now, dense in steps:
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         ys_sub = dense(ts_sub)
-        t_lo = t_prev
-        d_prev = driver.pair_dists(ys_sub[:, 0])
-        s_prev = driver.pair_rel_speeds(ys_sub[:, 0])
+        dists = driver.pair_dists(ys_sub)
+        speeds = driver.pair_rel_speeds(ys_sub)
+        # row c of the block masks describes the subinterval that ends at
+        # column c + 1: armed is the mask after that column, a threshold hit
+        # an armed pair at or below d_stick there
+        armed = armed | np.logical_or.accumulate(dists[1:] > d_stick, axis=0)
+        hit = (armed & (dists[1:] <= d_stick)).any(axis=1)
+        # a fast pair can dip below the threshold and climb back out
+        # between columns; chase any pair whose endpoint gap minus the
+        # travel it could manage in the subinterval reaches d_stick
+        reach = np.minimum(dists[:-1], dists[1:])
+        reach -= np.diff(ts_sub)[:, None] * np.maximum(speeds[:-1], speeds[1:])
+        chase = armed & (reach <= d_stick) & (dists[:-1] > d_stick)
         crossing_t = None
-        for col in range(1, _NSUB + 1):
-            t_col = float(ts_sub[col])
-            d_col = driver.pair_dists(ys_sub[:, col])
-            s_col = driver.pair_rel_speeds(ys_sub[:, col])
-            armed |= d_col > d_stick
-            if d_col.min(initial=math.inf, where=armed) <= d_stick:
+        for c in np.flatnonzero(hit | chase.any(axis=1)):
+            t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
+            if hit[c]:
+                mask = armed[c]
                 crossing_t = _bisect_crossing(
-                    lambda s: driver.pair_dists(dense(s)).min(initial=math.inf, where=armed),
+                    lambda s: driver.pair_dists(dense(s)).min(initial=math.inf, where=mask),
                     d_stick,
                     t_lo,
                     t_col,
                     tol,
                 )
                 break
-            # a fast pair can dip below the threshold and climb back out
-            # between columns; chase any pair whose endpoint gap minus the
-            # travel it could manage in the subinterval reaches d_stick
-            reach = np.minimum(d_prev, d_col) - (t_col - t_lo) * np.maximum(s_prev, s_col)
-            for p in np.flatnonzero(armed & (reach <= d_stick) & (d_prev > d_stick)):
+            for p in np.flatnonzero(chase[c]):
 
                 def gap(s, _p=p):
                     return float(driver.pair_dists(dense(s))[_p])
@@ -593,42 +549,36 @@ def _run_segment(
                         crossing_t = t_c
             if crossing_t is not None:
                 break
-            t_lo = t_col
-            d_prev, s_prev = d_col, s_col
+        armed = armed[-1]
 
         if crossing_t is not None:
             y_cross = dense(crossing_t)
             store.emit_grid_range(dense, t_prev, crossing_t)
-            store.emit_y(crossing_t, y_cross, _is_grid_time(crossing_t, config.sample_dt))
+            store.emit(crossing_t, y_cross)
             enc, y_end = _probe(driver, crossing_t, y_cross, t1, span, config, store)
-            x_end, v_end = driver.unpack(y_end)
-            state = ParticleSystem(x_end, v_end, system.kernel, system.partition.copy())
-            return enc.t_probe_end, state, enc
-
+            t_end = enc.t_probe_end
+            break
         store.emit_grid_range(dense, t_prev, t_now)
-        y_final = solver.y
+        y_end = y_now
+    else:
+        store.emit(t1, y_end)
 
-    store.emit_y(t1, y_final, _is_grid_time(t1, config.sample_dt))
-    x_end, v_end = driver.unpack(y_final)
-    state = ParticleSystem(x_end, v_end, system.kernel, system.partition.copy())
-    return t1, state, None
+    return t_end, ParticleSystem(*driver.unpack(y_end), system.kernel, system.partition.copy()), enc
 
 
-def _emit_drift(store: _SampleStore, system: ParticleSystem, t0: float, t1: float) -> None:
-    """Exact linear motion of a fully merged (or force-free) system."""
+def _drift(store: _SampleStore, system: ParticleSystem, t0: float, t1: float) -> ParticleSystem:
+    """Exact linear motion of a fully merged (or force-free) system from
+    ``t0`` to ``t1``: emits its samples and returns the state at ``t1``."""
 
     def evaluate(t):
         x = system.x + (t - t0) * system.v
         return np.concatenate([x.ravel(), system.v.ravel()])
 
-    store.emit_y(t0, evaluate(t0), _is_grid_time(t0, store.sample_dt))
+    store.emit(t0, evaluate(t0))
     store.emit_grid_range(evaluate, t0, t1)
-    store.emit_y(t1, evaluate(t1), _is_grid_time(t1, store.sample_dt))
-
-
-def _drift_state(system: ParticleSystem, dt: float) -> ParticleSystem:
+    store.emit(t1, evaluate(t1))
     out = system.copy()
-    out.x = out.x + dt * out.v
+    out.x = out.x + (t1 - t0) * out.v
     return out
 
 
@@ -737,8 +687,7 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
 
     while t < t_end - eps_t:
         if sys_cur.partition.n_clusters == 1:
-            _emit_drift(store, sys_cur, t, t_end)
-            sys_cur = _drift_state(sys_cur, t_end - t)
+            sys_cur = _drift(store, sys_cur, t, t_end)
             t = t_end
             break
         if segments_used >= config.max_segments:
@@ -762,20 +711,12 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
         t = t_term
 
     ts, xs, vs, grid_mask = store.arrays()
-    boundaries = [0.0] + [e.t_event for e in events] + [t_end]
-    segments = []
-    lo = 0
-    for k in range(len(boundaries) - 1):
-        hi = int(np.searchsorted(ts, boundaries[k + 1], side="right"))
-        segments.append(Segment(t_start=boundaries[k], t_end=boundaries[k + 1], lo=lo, hi=hi))
-        lo = hi
     return PiecewiseTrajectory(
         t=ts,
         x=xs,
         v=vs,
         grid_mask=grid_mask,
         events=events,
-        segments=segments,
         final_state=sys_cur,
         config=config,
     )

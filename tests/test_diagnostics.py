@@ -22,6 +22,7 @@ from flocksim import (
     SingularKernel,
     SolverConfig,
     conservation_residual,
+    critical_velocity,
     dissipation_check,
     divergent_components,
     holder_exponent,
@@ -190,4 +191,19 @@ class TestRunDiagnostics:
         traj, _ = triple_run
         report = run_diagnostics(traj)
         assert [r.pair for r in report.integrability] == [(0, 1), (0, 2), (1, 2)]
+        assert all(r.classification == DIVERGENT for r in report.integrability)
+
+    def test_two_cluster_report_probes_inter_cluster_pairs(self):
+        # clusters {1, 4} and {0, 2, 3, 5} of coincident rows collapse at the
+        # critical rate: only the 2 x 4 pairs across the clusters interact
+        n, alpha = 6, 0.5
+        in_a = np.isin(np.arange(n), [1, 4])[:, None]
+        x = np.where(in_a, -0.5, 0.5)
+        v = np.where(in_a, 0.5, -0.5) * -critical_velocity(1.0, alpha)
+        system = make_system(x, v, SingularKernel(alpha=alpha))
+        traj = solve_piecewise(system, SolverConfig(t_end=0.6))
+        report = run_diagnostics(traj)
+        assert [r.pair for r in report.integrability] == [
+            (0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (4, 5)
+        ]
         assert all(r.classification == DIVERGENT for r in report.integrability)

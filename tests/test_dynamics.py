@@ -99,31 +99,66 @@ class TestMakeSystem:
         assert s.x[0, 0] != c.x[0, 0]
 
 
+def _partition(labels):
+    """Partition whose clusters are the equal entries of ``labels``."""
+    part = ClusterPartition(len(labels))
+    for i, j in zip(*np.nonzero(np.triu(np.equal.outer(labels, labels), 1))):
+        part.union(int(i), int(j))
+    return part
+
+
 class TestPairWeights:
     def test_symmetric_zero_diagonal(self):
         s = _random_system(1, 4, 2)
-        w = pair_weights(s.x, s.partition.labels(), s.kernel)
+        w = pair_weights(s.x, s.partition.inter_pairs(), s.kernel)
         np.testing.assert_array_equal(w, w.T)
         assert np.all(np.diag(w) == 0.0)
 
     def test_same_cluster_zeroed(self):
         x = np.array([[0.0], [0.0], [1.0]])
-        labels = np.array([0, 0, 1])
-        w = pair_weights(x, labels, SingularKernel(alpha=0.5))
+        w = pair_weights(x, _partition([0, 0, 1]).inter_pairs(), SingularKernel(alpha=0.5))
         assert w[0, 1] == 0.0
         assert w[0, 2] == 1.0
 
     def test_intercluster_contact_raises(self):
         x = np.array([[0.0], [0.0]])
-        labels = np.array([0, 1])
         with pytest.raises(SingularEvaluationError):
-            pair_weights(x, labels, SingularKernel(alpha=0.5))
+            pair_weights(x, ClusterPartition(2).inter_pairs(), SingularKernel(alpha=0.5))
 
     def test_bounded_kernel_tolerates_contact(self):
         x = np.array([[0.0], [0.0]])
-        labels = np.array([0, 1])
-        w = pair_weights(x, labels, CuckerSmaleKernel(K=1.0, beta=2.0))
+        w = pair_weights(x, ClusterPartition(2).inter_pairs(), CuckerSmaleKernel(K=1.0, beta=2.0))
         assert w[0, 1] == 1.0
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 9),
+        d=st.integers(1, 3),
+        n_clusters=st.integers(1, 9),
+        kernel=st.sampled_from(
+            [
+                SingularKernel(alpha=0.5),
+                RegularizedKernel(alpha=0.25, n=50),
+                CuckerSmaleKernel(K=1.0, beta=2.0),
+            ]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_masked_reference(self, seed, n, d, n_clusters, kernel):
+        # clusters are coincident rows; the reference evaluates the kernel
+        # on the dense N x N separations and zeroes same-cluster entries
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_clusters, n)
+        x = rng.normal(size=(n_clusters, d))[labels] * 10.0 ** rng.integers(-4, 2)
+        part = _partition(labels)
+        diff = x[None, :, :] - x[:, None, :]
+        dist = np.sqrt(np.einsum("ikd,ikd->ik", diff, diff))
+        inter = labels[:, None] != labels[None, :]
+        with np.errstate(divide="ignore"):
+            ref = kernel.weight(dist)
+        ref[~inter] = 0.0
+        w = pair_weights(x, part.inter_pairs(), kernel)
+        assert w.tobytes() == ref.tobytes()
 
 
 class TestAcceleration:
@@ -176,7 +211,7 @@ class TestAcceleration:
         dv = s.v[:, None, :] - s.v[None, :, :]
         da = a[:, None, :] - a[None, :, :]
         lhs = 2.0 * np.einsum("ijd,ijd->", dv, da)
-        w = pair_weights(s.x, s.partition.labels(), s.kernel)
+        w = pair_weights(s.x, s.partition.inter_pairs(), s.kernel)
         rhs = -4.0 * np.einsum("ij,ijd,ijd->", w, dv, dv)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 

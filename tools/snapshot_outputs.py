@@ -52,13 +52,14 @@ def _twobody(phi0: float, dphi0: float, weight: str = "alpha = 0.5") -> str:
     )
 
 
-def _two_cluster(n: int, m: int, d: int, alpha: float, t_end: float) -> str:
-    """Clusters of m and n-m coincident rows closing at the critical rate
-    from unit separation along a fixed direction."""
+def _two_cluster(n: int, m: int, d: int, alpha: float, t_end: float, u=None) -> str:
+    """Clusters of m and n-m coincident rows closing at speed u (by default
+    the critical rate) from unit separation along a fixed direction."""
     raw = [1.0, 2.0, 3.0][:d]
     norm = math.sqrt(sum(c * c for c in raw))
     e = [c / norm for c in raw]
-    u = 2.0 / (1.0 - alpha)  # critical closing speed from unit separation
+    if u is None:
+        u = 2.0 / (1.0 - alpha)  # critical closing speed from unit separation
     xa, xb = [-0.5 * c for c in e], [0.5 * c for c in e]
     va, vb = [0.5 * u * c for c in e], [-0.5 * u * c for c in e]
     rows_x = [xa] * m + [xb] * (n - m)
@@ -75,6 +76,7 @@ CASES = [
     ("readme_pair", "simulate", README_PAIR),
     ("storm_1d", "simulate", _generated(16, 1, 3, 5.0, 0.3)),
     ("swarm_2d", "simulate", _generated(48, 2, 3, 1.0, 0.2)),
+    ("rebound_3d", "simulate", _two_cluster(2, 1, 3, 0.5, 0.7, u=5.0)),
     ("twobody_stick", "twobody", _twobody(1.0, -4.0)),
     ("twobody_collide", "twobody", _twobody(1.0, -5.0)),
     ("twobody_no_collision", "twobody", _twobody(1.0, -3.0)),
