@@ -286,8 +286,7 @@ def _build_solver(raw: dict[str, tuple[str, int]]) -> SolverConfig:
     try:
         return SolverConfig(**kwargs)
     except DomainError as exc:
-        bad = str(exc).split()[0]
-        raise ValidationError(str(exc), key=bad) from None
+        raise ValidationError(str(exc), key=exc.key) from None
 
 
 def _build_twobody(raw: dict[str, tuple[str, int]]) -> TwoBodyConfig:
@@ -409,11 +408,11 @@ def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
     header += [f"x_{i+1}_{k+1}" for i in range(n) for k in range(d)]
     header += [f"v_{i+1}_{k+1}" for i in range(n) for k in range(d)]
     lines = [",".join(header)]
-    for row in range(s):
-        vals = [_fmt(traj.t[row])]
-        vals += [_fmt(traj.x[row, i, k]) for i in range(n) for k in range(d)]
-        vals += [_fmt(traj.v[row, i, k]) for i in range(n) for k in range(d)]
-        lines.append(",".join(vals))
+    # one packed row per sample; tolist() yields Python floats, whose repr
+    # is the text _fmt writes.  Row by row, so that no more than one row
+    # of float objects is alive at a time.
+    rows = np.column_stack([traj.t, traj.x.reshape(s, -1), traj.v.reshape(s, -1)])
+    lines += [",".join(map(repr, row.tolist())) for row in rows]
     _write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
 
     ev_lines = []

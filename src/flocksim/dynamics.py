@@ -13,7 +13,10 @@ count individually in the sums of others, so a cluster of size m pulls
 with multiplicity m.  The 2/N coupling is chosen so that two particles
 obey the separation equation ``d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt``
 solved in closed form by the twobody module.  The kernel is evaluated only
-on the pairs of :meth:`ClusterPartition.inter_pairs`.
+on the pairs of :meth:`ClusterPartition.inter_pairs`: their rows are
+gathered with ``np.take`` and subtracted in place, and the P weights are
+scattered into the flattened N x N matrix through the linear indices
+``i*N + j`` and ``j*N + i``, which the force reduction then reads.
 """
 
 from __future__ import annotations
@@ -151,15 +154,18 @@ def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:
     zero separation on one of them.
     """
     pi, pj = pairs
-    diff = x[pj] - x[pi]
-    dist = np.sqrt(np.einsum("pd,pd->p", diff, diff))
+    n = x.shape[0]
+    diff = np.take(x, pj, axis=0)
+    diff -= np.take(x, pi, axis=0)
+    dist = np.einsum("pd,pd->p", diff, diff)
+    np.sqrt(dist, out=dist)
     if isinstance(kernel, SingularKernel) and np.any(dist == 0.0):
         raise SingularEvaluationError(
             "zero separation between distinct clusters under the singular weight"
         )
-    w = np.zeros((x.shape[0], x.shape[0]))
-    w[pi, pj] = w[pj, pi] = kernel.weight(dist)
-    return w
+    w = np.zeros(n * n)
+    w[pi * n + pj] = w[pj * n + pi] = kernel.weight(dist)
+    return w.reshape(n, n)
 
 
 def acceleration_arrays(x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:

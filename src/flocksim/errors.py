@@ -6,7 +6,14 @@ class FlockError(Exception):
 
 
 class DomainError(FlockError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``key`` names the offending field when there is one.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class SingularEvaluationError(FlockError, ArithmeticError):

@@ -10,9 +10,13 @@ inside ``d_stick`` at the segment start is disarmed until it climbs back
 out).  Each step's dense output is read once, as a block of subsample
 columns: the per-column armed masks, threshold hits and chase candidates
 of the whole block are found together, and only the columns with one are
-visited, in order.  The first time an armed pair dips below the sticking
-distance ``d_stick`` the crossing is localized by bisection on the dense
-output and a probe phase takes over.
+visited, in order.  A chase candidate is a pair that could dip below the
+threshold and climb back out between two columns; the pair speeds that
+decide it are computed only when a per-column bound on all of them (the
+norm of the per-axis velocity ranges) lets some pair travel that far.
+The first time an armed pair dips below the sticking distance
+``d_stick`` the crossing is localized by bisection on the dense output
+and a probe phase takes over.
 
 The probe integrates through the encounter at full resolution, recording a
 monitor row per step for the proximal group: its diameter (largest
@@ -100,11 +104,14 @@ class SolverConfig:
         for name in ("rel_tol", "abs_tol", "d_stick", "v_stick", "t_end", "sample_dt"):
             val = getattr(self, name)
             if not (np.isfinite(val) and val > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {val!r}")
+                raise DomainError(f"{name} must be positive and finite, got {val!r}", key=name)
         if int(self.n_reg) != self.n_reg or self.n_reg < 2:
-            raise DomainError(f"n_reg must be an integer >= 2, got {self.n_reg!r}")
+            raise DomainError(f"n_reg must be an integer >= 2, got {self.n_reg!r}", key="n_reg")
         if int(self.max_segments) != self.max_segments or self.max_segments < 1:
-            raise DomainError(f"max_segments must be an integer >= 1, got {self.max_segments!r}")
+            raise DomainError(
+                f"max_segments must be an integer >= 1, got {self.max_segments!r}",
+                key="max_segments",
+            )
         object.__setattr__(self, "n_reg", int(self.n_reg))
         object.__setattr__(self, "max_segments", int(self.max_segments))
 
@@ -235,6 +242,14 @@ class _Driver:
 
     def pair_rel_speeds(self, y: np.ndarray) -> np.ndarray:
         return self._pair_norms(y[self.nd :])
+
+    def rel_speed_bound(self, y: np.ndarray) -> np.ndarray:
+        """At least every entry of :meth:`pair_rel_speeds`, per column: the
+        norm of the per-axis velocity ranges, padded by 1e-9 relative for
+        the rounding of a different summation order."""
+        v = y[self.nd :].reshape((self.n, self.d) + y.shape[1:])
+        span = v.max(axis=0) - v.min(axis=0)
+        return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
 
     def component(
         self, y: np.ndarray, dists: np.ndarray, threshold: float
@@ -422,7 +437,9 @@ def _probe(
         near = dists <= d_stick
         if near.any():
             # extend the watch to encounter-adjacent pairs
-            watch |= near & (np.isin(driver.pi, group) | np.isin(driver.pj, group))
+            ing = np.zeros(driver.n, dtype=bool)
+            ing[list(group)] = True
+            watch |= near & (ing[driver.pi] | ing[driver.pj])
         if not near[watch].any():
             disposition = "rebound"
             break
@@ -512,7 +529,6 @@ def _run_segment(
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         ys_sub = dense(ts_sub)
         dists = driver.pair_dists(ys_sub)
-        speeds = driver.pair_rel_speeds(ys_sub)
         # row c of the block masks describes the subinterval that ends at
         # column c + 1: armed is the mask after that column, a threshold hit
         # an armed pair at or below d_stick there
@@ -522,8 +538,17 @@ def _run_segment(
         # between columns; chase any pair whose endpoint gap minus the
         # travel it could manage in the subinterval reaches d_stick
         reach = np.minimum(dists[:-1], dists[1:])
-        reach -= np.diff(ts_sub)[:, None] * np.maximum(speeds[:-1], speeds[1:])
-        chase = armed & (reach <= d_stick) & (dists[:-1] > d_stick)
+        dt_sub = np.diff(ts_sub)
+        chase = armed & (dists[:-1] > d_stick)
+        # the pair speeds are needed only if the per-column speed bound,
+        # whose travel rounds to at least every pair's, lets a pair get
+        # there; if not, the bare gaps of the chase pairs exceed d_stick too
+        bound = driver.rel_speed_bound(ys_sub)
+        lead = reach.min(axis=1, initial=math.inf, where=chase)
+        if np.any(lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick):
+            speeds = driver.pair_rel_speeds(ys_sub)
+            reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
+        chase &= reach <= d_stick
         crossing_t = None
         for c in np.flatnonzero(hit | chase.any(axis=1)):
             t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])

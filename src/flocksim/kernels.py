@@ -7,7 +7,9 @@ Three weight families drive the velocity-alignment force:
 * :class:`RegularizedKernel` -- a capped version of the singular weight.
   It equals the cap height ``n`` on ``[0, n**(-1/alpha)]``, agrees exactly
   with the singular weight on ``[(n-1)**(-1/alpha), inf)``, and joins the
-  two branches with a monotone C1 cubic Hermite bridge.
+  two branches with a monotone C1 cubic Hermite bridge.  When every
+  separation lies on the inverse-power branch (the usual case away from
+  contact) it returns the power at once, bitwise equal to the branch code.
 * :class:`CuckerSmaleKernel` -- the bounded weight ``K*(1+s**2)**(-beta/2)``.
 
 :func:`eval_weight` evaluates any of them at validated separations.  The
@@ -98,6 +100,10 @@ class RegularizedKernel:
         a = self.alpha
         lo = self.cap_end
         hi = self.bridge_end
+        if s.size and s.min() >= hi:
+            # every separation is on the power branch (NaN fails the test):
+            # the same power on the same values as below
+            return np.asarray(s ** (-a), dtype=float)
         out = np.empty_like(s, dtype=float)
 
         cap = s <= lo

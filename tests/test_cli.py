@@ -147,6 +147,24 @@ class TestParseErrors:
         with pytest.raises(ValidationError, match="kernel must be"):
             parse_config("[scenario]\nkernel = bounded\n")
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("rel_tol", "0"),
+            ("abs_tol", "-1e-12"),
+            ("d_stick", "0"),
+            ("v_stick", "-1"),
+            ("t_end", "-0.5"),
+            ("sample_dt", "0"),
+            ("n_reg", "1"),
+            ("max_segments", "0"),
+        ],
+    )
+    def test_solver_error_key_is_the_field(self, key, value):
+        with pytest.raises(ValidationError) as exc_info:
+            parse_config(f"[solver]\n{key} = {value}\n")
+        assert exc_info.value.key == key
+
     def test_inline_row_errors(self):
         base = "[scenario]\nn = 2\nd = 1\nalpha = 0.5\n"
         with pytest.raises(ValidationError, match="missing inline row"):

@@ -6,8 +6,12 @@ closing at the critical rate from separation 1 sticks at
 orbit by kappa = (1 + 2**(1-alpha))/3.
 """
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocksim import (
     ContinuationError,
@@ -25,6 +29,7 @@ from flocksim import (
     solve_piecewise,
     stick_time,
 )
+from flocksim import integrator
 from flocksim.integrator import _NSUB, _Driver
 from conftest import critical_two_body
 
@@ -273,3 +278,57 @@ class TestDriverBlocks:
             cols = np.stack([method(block[:, c]) for c in range(_NSUB + 1)])
             assert rows.shape == (_NSUB + 1, driver.n_pairs)
             assert rows.tobytes() == cols.tobytes()
+
+    @given(
+        n=st.integers(2, 6),
+        d=st.integers(1, 3),
+        cols=st.integers(1, _NSUB + 1),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_speed_bound_covers_pair_speeds(self, n, d, cols, data):
+        # the watch's per-column bound is at least every pair's speed, also
+        # when rows coincide exactly (a zero-speed pair) and the scales vary
+        x = np.arange(n * d, dtype=float).reshape(n, d)
+        system = make_system(x, np.zeros((n, d)), SingularKernel(alpha=0.5))
+        driver = _Driver(system, SolverConfig())
+        vals = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        v = np.array(data.draw(st.lists(vals, min_size=n * d * cols, max_size=n * d * cols)))
+        v = v.reshape(n, d, cols)
+        copies = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        v = v[copies]
+        block = np.concatenate([np.zeros((n * d, cols)), v.reshape(n * d, cols)])
+        speeds = driver.pair_rel_speeds(block)
+        bound = driver.rel_speed_bound(block)
+        assert bound.shape == (cols,)
+        assert np.all(speeds <= bound[:, None])
+
+
+class TestChase:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dip_between_columns_is_chased(self, d, monkeypatch):
+        # a head-on pair closing at speed 2000 spends about 1e-9 inside the
+        # 2e-6 wide d_stick window, far less than a subsample interval, so
+        # no column lands inside it: the main phase must chase the dip
+        found = []
+        golden = integrator._golden_min
+
+        def counting(f, t_lo, t_hi, tol):
+            t_m = golden(f, t_lo, t_hi, tol)
+            found.append((sys._getframe(1).f_code.co_name, f(t_m)))
+            return t_m
+
+        monkeypatch.setattr(integrator, "_golden_min", counting)
+        x = np.zeros((2, d))
+        v = np.zeros((2, d))
+        x[:, 0] = [-0.5, 0.5]
+        v[:, 0] = [1000.0, -1000.0]
+        config = SolverConfig(t_end=0.01)
+        traj = solve_piecewise(make_system(x, v, SingularKernel(alpha=0.25)), config)
+        dips = [caller for caller, gap in found if gap <= config.d_stick]
+        assert dips and dips[0] == "_run_segment"
+        assert [e.kind for e in traj.events] == [NON_STICK]
+        ref = classify(TwoBodyProblem(1.0, -2000.0, 0.25))
+        # no probe column beats the crossing distance, so the event keeps
+        # the crossing instant, d_stick / 2000 = 5e-10 before contact
+        assert abs(traj.events[0].t_event - ref.t_hit) < 1e-9

@@ -123,6 +123,67 @@ class TestRegularized:
         assert eval_weight(k, 4.0) == 0.5
 
 
+def _three_branch_weight(k, s):
+    """RegularizedKernel.weight as three masked branches, without the
+    all-power fast path."""
+    a, lo, hi = k.alpha, k.cap_end, k.bridge_end
+    out = np.empty_like(s, dtype=float)
+    cap = s <= lo
+    power = s >= hi
+    mid = ~(cap | power)
+    out[cap] = float(k.n)
+    out[power] = s[power] ** (-a)
+    if np.any(mid):
+        h = hi - lo
+        u = (s[mid] - lo) / h
+        u2 = u * u
+        u3 = u2 * u
+        v1 = hi ** (-a)
+        m1 = -a * hi ** (-a - 1.0)
+        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
+        h01 = -2.0 * u3 + 3.0 * u2
+        h11 = u3 - u2
+        out[mid] = h00 * float(k.n) + h01 * v1 + h11 * h * m1
+    return out
+
+
+class TestRegularizedFastPath:
+    @given(
+        alpha=st.floats(0.05, 0.95),
+        n=st.sampled_from([2, 10, 10**6]),
+        ratios=st.lists(st.floats(0.0, 4.0), max_size=40),
+        beyond=st.booleans(),
+        ends=st.booleans(),
+        zero_d=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_three_branches(self, alpha, n, ratios, beyond, ends, zero_d):
+        # separations wholly beyond the bridge take the fast path; ones
+        # spanning cap, bridge and power (with both branch ends) do not
+        k = RegularizedKernel(alpha=alpha, n=n)
+        r = np.array(ratios)
+        if beyond:
+            s = k.bridge_end * (1.0 + r)
+        else:
+            s = k.bridge_end * r
+            if ends:
+                s = np.concatenate([s, [k.cap_end, k.bridge_end]])
+        if zero_d:
+            s = np.array(s[0] if s.size else k.bridge_end)
+        out = k.weight(s)
+        ref = _three_branch_weight(k, s)
+        assert isinstance(out, np.ndarray)
+        assert (out.shape, out.dtype) == (ref.shape, ref.dtype)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_nan_and_empty_fall_through(self):
+        k = RegularizedKernel(alpha=0.5, n=10)
+        for s in (np.array([np.nan, 1.0, 2.0]), np.array([]), np.array(np.nan)):
+            out = k.weight(s)
+            assert out.shape == s.shape
+            assert out.tobytes() == _three_branch_weight(k, s).tobytes()
+
+
 class TestCuckerSmale:
     def test_known_values(self):
         k = CuckerSmaleKernel(K=1.0, beta=2.0)
