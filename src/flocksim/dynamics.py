@@ -16,7 +16,9 @@ solved in closed form by the twobody module.  The kernel is evaluated only
 on the pairs of :meth:`ClusterPartition.inter_pairs`: their rows are
 gathered with ``np.take`` and subtracted in place, and the P weights are
 scattered into the flattened N x N matrix through the linear indices
-``i*N + j`` and ``j*N + i``, which the force reduction then reads.
+``i*N + j`` and ``j*N + i`` (:func:`pair_slots`, which a solver segment
+builds once for its fixed pair list), and the force reduction then reads
+that matrix.
 """
 
 from __future__ import annotations
@@ -146,15 +148,24 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     return ParticleSystem(x, v, kernel, part)
 
 
-def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:
+def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linear indices ``(i*n + j, j*n + i)`` of ``pairs`` in a flattened
+    n x n matrix; a caller that reuses one pair list builds them once."""
+    pi, pj = pairs
+    return pi * n + pj, pj * n + pi
+
+
+def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots=None) -> np.ndarray:
     """Symmetric matrix of kernel weights on ``pairs`` (index arrays from
-    :meth:`ClusterPartition.inter_pairs`), zero elsewhere.
+    :meth:`ClusterPartition.inter_pairs`), zero elsewhere.  ``slots`` are
+    the pairs' :func:`pair_slots`, built here when not given.
 
     Raises :class:`SingularEvaluationError` if the singular kernel meets a
     zero separation on one of them.
     """
     pi, pj = pairs
     n = x.shape[0]
+    ij, ji = pair_slots(pairs, n) if slots is None else slots
     diff = np.take(x, pj, axis=0)
     diff -= np.take(x, pi, axis=0)
     dist = np.einsum("pd,pd->p", diff, diff)
@@ -164,13 +175,15 @@ def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:
             "zero separation between distinct clusters under the singular weight"
         )
     w = np.zeros(n * n)
-    w[pi * n + pj] = w[pj * n + pi] = kernel.weight(dist)
+    w[ij] = w[ji] = kernel.weight(dist)
     return w.reshape(n, n)
 
 
-def acceleration_arrays(x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel) -> np.ndarray:
+def acceleration_arrays(
+    x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel, slots=None
+) -> np.ndarray:
     """Force rows for raw arrays; the hot path behind :func:`acceleration`."""
-    w = pair_weights(x, pairs, kernel)
+    w = pair_weights(x, pairs, kernel, slots)
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
     # The 2/N coupling makes the two-particle system reduce exactly to the

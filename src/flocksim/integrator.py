@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import RK45
 
-from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters
+from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_slots
 from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
 from .kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
 
@@ -208,6 +208,7 @@ class _Driver:
         self.nd = self.n * self.d
         self.pairs = system.partition.inter_pairs()
         self.pi, self.pj = self.pairs
+        self.slots = pair_slots(self.pairs, self.n)
         self.fit_floor = _fit_floor(system.kernel, config)
 
     @property
@@ -217,7 +218,7 @@ class _Driver:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         x = y[: self.nd].reshape(self.n, self.d)
         v = y[self.nd :].reshape(self.n, self.d)
-        a = acceleration_arrays(x, v, self.pairs, self.kernel)
+        a = acceleration_arrays(x, v, self.pairs, self.kernel, self.slots)
         return np.concatenate([v.ravel(), a.ravel()])
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -544,7 +545,7 @@ def _run_segment(
         # whose travel rounds to at least every pair's, lets a pair get
         # there; if not, the bare gaps of the chase pairs exceed d_stick too
         bound = driver.rel_speed_bound(ys_sub)
-        lead = reach.min(axis=1, initial=math.inf, where=chase)
+        lead = np.where(chase, reach, math.inf).min(axis=1)
         if np.any(lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick):
             speeds = driver.pair_rel_speeds(ys_sub)
             reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])

@@ -8,8 +8,8 @@ Three weight families drive the velocity-alignment force:
   It equals the cap height ``n`` on ``[0, n**(-1/alpha)]``, agrees exactly
   with the singular weight on ``[(n-1)**(-1/alpha), inf)``, and joins the
   two branches with a monotone C1 cubic Hermite bridge.  When every
-  separation lies on the inverse-power branch (the usual case away from
-  contact) it returns the power at once, bitwise equal to the branch code.
+  separation lies on the inverse-power branch it returns the power at
+  once, bitwise equal to the branch code.
 * :class:`CuckerSmaleKernel` -- the bounded weight ``K*(1+s**2)**(-beta/2)``.
 
 :func:`eval_weight` evaluates any of them at validated separations.  The

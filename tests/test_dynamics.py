@@ -23,6 +23,7 @@ from flocksim import (
     merge_clusters,
     pair_weights,
 )
+from flocksim.dynamics import pair_slots
 
 
 def _random_system(seed, n, d, kernel=None):
@@ -129,6 +130,15 @@ class TestPairWeights:
         x = np.array([[0.0], [0.0]])
         w = pair_weights(x, ClusterPartition(2).inter_pairs(), CuckerSmaleKernel(K=1.0, beta=2.0))
         assert w[0, 1] == 1.0
+
+    def test_given_slots_equal_built_slots(self):
+        s = _random_system(2, 7, 3)
+        pairs = _partition([0, 1, 1, 2, 3, 3, 4]).inter_pairs()
+        slots = pair_slots(pairs, 7)
+        np.testing.assert_array_equal(slots[0], pairs[0] * 7 + pairs[1])
+        np.testing.assert_array_equal(slots[1], pairs[1] * 7 + pairs[0])
+        w = pair_weights(s.x, pairs, s.kernel, slots)
+        assert w.tobytes() == pair_weights(s.x, pairs, s.kernel).tobytes()
 
     @given(
         seed=st.integers(0, 10_000),

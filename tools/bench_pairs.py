@@ -8,8 +8,8 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, one after the other; even pairs start
 with the parent, odd pairs with the change.  Both sides use their own
 ``perfbench/`` and ``src/``, so the two benchmark directories should be
-identical.  The end-to-end metrics, their better direction and their bounds
-come from ``PARENT_DIR/BENCHMARK.json``.
+identical.  The run length N, the end-to-end metrics, their better
+direction and their bounds come from ``PARENT_DIR/BENCHMARK.json``.
 
 For each metric it prints both sides' median and quartiles, the parent's
 quartile spread, how many pairs the change won (ties count for neither)
@@ -87,14 +87,12 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=None,
-                   help="run length (default: run_seconds of BENCHMARK.json)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
     spec = json.loads((args.parent_dir / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     dirs = dict(zip(SIDES, (args.parent_dir, args.change_dir)))
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for k in range(args.pairs):
