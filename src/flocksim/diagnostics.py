@@ -203,18 +203,12 @@ def _pair_merge_time(traj: PiecewiseTrajectory, i: int, j: int) -> Optional[floa
     return None
 
 
-def integrability_probe(
+def _probe_window(
     traj: PiecewiseTrajectory, pair: tuple[int, int], t_upper: float
-) -> IntegrabilityRecord:
-    """Dyadic ratio test on the accumulated pair interaction.
-
-    Accumulates ``∫ psi(|x_i - x_j|) dt`` by the trapezoid rule up to
-    ``t_upper`` (truncated at the pair's merge time if it sticks earlier)
-    and compares the integral over successive dyadic windows closing on
-    the upper end: ratios pinned near 1 mean a harmonic, divergent tail;
-    ratios bounded away below mean geometric decay, hence a finite
-    integral.  The last two resolvable ratios decide.
-    """
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Window end, sample times and pair separations of an integrability
+    probe: the samples from the start up to ``t_upper``, or up to the
+    pair's merge time if it sticks earlier."""
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise DomainError("pair must be two distinct particles")
@@ -231,13 +225,15 @@ def integrability_probe(
     if len(rows) < 2:
         raise InsufficientDataError("need at least 2 samples below t_upper")
     dx = traj.x[rows, i, :] - traj.x[rows, j, :]
-    dist = np.sqrt(np.einsum("sd,sd->s", dx, dx))
-    kernel = traj.final_state.kernel
+    return t_eff, traj.t[rows], np.sqrt(np.einsum("sd,sd->s", dx, dx))
+
+
+def _ratio_test(kernel, t_eff: float, ts: np.ndarray, dist: np.ndarray) -> tuple[float, str]:
+    """(estimate, classification) of the dyadic ratio test on one window."""
     psi = kernel.weight(dist)
-    ts = traj.t[rows]
     estimate = float(_trapezoid(psi, ts))
 
-    span = t_eff - t0
+    span = t_eff - float(ts[0])
     integrals = []
     for m in range(1, 60):
         lo = t_eff - span * 2.0 ** (1 - m)
@@ -252,9 +248,9 @@ def integrability_probe(
         p_win = np.concatenate(([np.interp(lo, ts, psi)], psi[sel], [np.interp(hi, ts, psi)]))
         integrals.append(float(_trapezoid(p_win, t_win)))
     if len(integrals) < 3:
-        return IntegrabilityRecord((i, j), estimate, INCONCLUSIVE)
+        return estimate, INCONCLUSIVE
     if integrals[-2] <= 0.0 or integrals[-3] <= 0.0:
-        return IntegrabilityRecord((i, j), estimate, INCONCLUSIVE)
+        return estimate, INCONCLUSIVE
     r1 = integrals[-2] / integrals[-3]
     r2 = integrals[-1] / integrals[-2]
     if r1 >= _RATIO_THRESHOLD and r2 >= _RATIO_THRESHOLD:
@@ -263,7 +259,24 @@ def integrability_probe(
         cls = FINITE
     else:
         cls = INCONCLUSIVE
-    return IntegrabilityRecord((i, j), estimate, cls)
+    return estimate, cls
+
+
+def integrability_probe(
+    traj: PiecewiseTrajectory, pair: tuple[int, int], t_upper: float
+) -> IntegrabilityRecord:
+    """Dyadic ratio test on the accumulated pair interaction.
+
+    Accumulates ``∫ psi(|x_i - x_j|) dt`` by the trapezoid rule up to
+    ``t_upper`` (truncated at the pair's merge time if it sticks earlier)
+    and compares the integral over successive dyadic windows closing on
+    the upper end: ratios pinned near 1 mean a harmonic, divergent tail;
+    ratios bounded away below mean geometric decay, hence a finite
+    integral.  The last two resolvable ratios decide.
+    """
+    t_eff, ts, dist = _probe_window(traj, pair, t_upper)
+    estimate, cls = _ratio_test(traj.final_state.kernel, t_eff, ts, dist)
+    return IntegrabilityRecord((int(pair[0]), int(pair[1])), estimate, cls)
 
 
 def divergent_components(records: list[IntegrabilityRecord], n: int) -> list[tuple[int, ...]]:
@@ -297,17 +310,27 @@ def run_diagnostics(traj: PiecewiseTrajectory) -> DiagnosticsReport:
             continue
 
     # probe the pairs of each event's group that were in distinct clusters
-    # just before it; the partition follows the run's merges
+    # just before it; the partition follows the run's merges.  The test
+    # reads only the window end and the separation series, so the pairs of
+    # an event whose series are bitwise equal (rows of coincident clusters)
+    # share one result
     integrability: list[IntegrabilityRecord] = []
-    part = make_system(traj.x[0], traj.v[0], traj.final_state.kernel).partition
+    kernel = traj.final_state.kernel
+    part = make_system(traj.x[0], traj.v[0], kernel).partition
     for event in traj.events:
+        tested: dict[tuple[float, bytes], tuple[float, str]] = {}
         pi, pj = part.inter_pairs()
         in_group = np.isin(pi, event.group) & np.isin(pj, event.group)
         for pair in zip(pi[in_group].tolist(), pj[in_group].tolist()):
             try:
-                integrability.append(integrability_probe(traj, pair, event.t_event))
+                t_eff, ts, dist = _probe_window(traj, pair, event.t_event)
             except (DomainError, InsufficientDataError):
                 integrability.append(IntegrabilityRecord(pair, math.nan, INCONCLUSIVE))
+                continue
+            key = (t_eff, dist.tobytes())
+            if key not in tested:
+                tested[key] = _ratio_test(kernel, t_eff, ts, dist)
+            integrability.append(IntegrabilityRecord(pair, *tested[key]))
         if event.kind == STICKING:
             for k in event.group[1:]:
                 part.union(event.group[0], k)

@@ -14,6 +14,9 @@ visited, in order.  A chase candidate is a pair that could dip below the
 threshold and climb back out between two columns; the pair speeds that
 decide it are computed only when a per-column bound on all of them (the
 norm of the per-axis velocity ranges) lets some pair travel that far.
+The searches for a dip of a column's chase candidates share one
+evaluation of their distances per distinct time, so the m*(N-m)
+equal-gap pairs of two colliding clusters cost one search's evaluations.
 The first time an armed pair dips below the sticking distance
 ``d_stick`` the crossing is localized by bisection on the dense output
 and a probe phase takes over.
@@ -423,6 +426,11 @@ def _probe(
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         col_min = driver.pair_dists(dense(ts_sub)[:, 1:]).min(axis=1)
         c = int(np.argmin(col_min))
+        if k == 1:
+            # until a column beats the crossing distance, the closest
+            # approach lies between the crossing and the first column
+            best_dense = dense
+            best_hi = float(ts_sub[1])
         if col_min[c] < best_val:
             best_val = float(col_min[c])
             best_t = float(ts_sub[c + 1])
@@ -563,16 +571,26 @@ def _run_segment(
                     tol,
                 )
                 break
-            for p in np.flatnonzero(chase[c]):
+            # the chased pairs' searches share one pair_dists(dense(s)) per
+            # distinct time s of the column, kept for those pairs only:
+            # pairs with bitwise-equal gaps (coincident clusters) walk the
+            # same times, so m(N-m) of them cost one search's evaluations
+            chased = np.flatnonzero(chase[c])
+            shared: dict[float, np.ndarray] = {}
+            for k in range(chased.size):
 
-                def gap(s, _p=p):
-                    return float(driver.pair_dists(dense(s))[_p])
+                def gap(s, _k=k):
+                    g = shared.get(s)
+                    if g is None:
+                        g = shared[s] = driver.pair_dists(dense(s))[chased]
+                    return float(g[_k])
 
                 t_m = _golden_min(gap, t_lo, t_col, tol)
                 if gap(t_m) <= d_stick:
                     t_c = _bisect_crossing(gap, d_stick, t_lo, t_m, tol)
                     if crossing_t is None or t_c < crossing_t:
                         crossing_t = t_c
+            shared.clear()
             if crossing_t is not None:
                 break
         armed = armed[-1]

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from flocksim import diagnostics
 from flocksim import (
     DIVERGENT,
     FINITE,
@@ -192,6 +193,10 @@ class TestRunDiagnostics:
         report = run_diagnostics(traj)
         assert [r.pair for r in report.integrability] == [(0, 1), (0, 2), (1, 2)]
         assert all(r.classification == DIVERGENT for r in report.integrability)
+        t_event = traj.events[0].t_event
+        assert report.integrability == [
+            integrability_probe(traj, r.pair, t_event) for r in report.integrability
+        ]
 
     def test_two_cluster_report_probes_inter_cluster_pairs(self):
         # clusters {1, 4} and {0, 2, 3, 5} of coincident rows collapse at the
@@ -207,3 +212,28 @@ class TestRunDiagnostics:
             (0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (4, 5)
         ]
         assert all(r.classification == DIVERGENT for r in report.integrability)
+
+    def test_equal_separation_series_share_one_test(self, monkeypatch):
+        # all 3 x 5 pairs across two coincident clusters have bitwise-equal
+        # separation series: one ratio test serves them all, and each pair
+        # gets the record a probe of its own gives
+        tests = []
+        ratio_test = diagnostics._ratio_test
+
+        def counting(*args):
+            tests.append(args)
+            return ratio_test(*args)
+
+        monkeypatch.setattr(diagnostics, "_ratio_test", counting)
+        n, alpha = 8, 0.5
+        in_a = (np.arange(n) < 3)[:, None]
+        x = np.where(in_a, -0.5, 0.5)
+        v = np.where(in_a, 0.5, -0.5) * -critical_velocity(1.0, alpha)
+        traj = solve_piecewise(make_system(x, v, SingularKernel(alpha=alpha)), SolverConfig(t_end=0.6))
+        report = run_diagnostics(traj)
+        assert len(report.integrability) == 15
+        assert len(tests) == 1
+        t_event = traj.events[0].t_event
+        assert report.integrability == [
+            integrability_probe(traj, r.pair, t_event) for r in report.integrability
+        ]

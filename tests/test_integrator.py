@@ -329,6 +329,67 @@ class TestChase:
         assert dips and dips[0] == "_run_segment"
         assert [e.kind for e in traj.events] == [NON_STICK]
         ref = classify(TwoBodyProblem(1.0, -2000.0, 0.25))
-        # no probe column beats the crossing distance, so the event keeps
-        # the crossing instant, d_stick / 2000 = 5e-10 before contact
+        # no probe column beats the crossing distance, so the closest
+        # approach is refined between the crossing and the first column
         assert abs(traj.events[0].t_event - ref.t_hit) < 1e-9
+
+    @pytest.mark.parametrize("speed", [100.0, 2000.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rebound_before_first_column_is_refined(self, d, speed):
+        # the pair passes through contact before the probe's first column,
+        # d_stick / speed after the crossing: without a refinement there the
+        # event would keep the crossing instant and report min_dist = d_stick
+        x = np.zeros((2, d))
+        v = np.zeros((2, d))
+        x[:, 0] = [-0.5, 0.5]
+        v[:, 0] = [0.5 * speed, -0.5 * speed]
+        config = SolverConfig(t_end=2.0 / speed)
+        traj = solve_piecewise(make_system(x, v, SingularKernel(alpha=0.25)), config)
+        assert [e.kind for e in traj.events] == [NON_STICK]
+        ref = classify(TwoBodyProblem(1.0, -speed, 0.25))
+        assert abs(traj.events[0].t_event - ref.t_hit) <= 1e-9
+        assert traj.events[0].min_dist < config.d_stick
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chase_cost_does_not_grow_with_coincident_pairs(self, d, monkeypatch):
+        # clusters of m and n - m coincident rows close critically: every
+        # one of the m(n-m) pairs across them has the same gap, so a chase
+        # column holds all of them and their searches share evaluations
+        calls = {"searches": 0, "dists": 0}
+        golden = integrator._golden_min
+        pair_dists = _Driver.pair_dists
+
+        def counting_golden(f, t_lo, t_hi, tol):
+            if sys._getframe(1).f_code.co_name == "_run_segment":
+                calls["searches"] += 1
+            return golden(f, t_lo, t_hi, tol)
+
+        def counting_dists(self, y):
+            # calls through the closures of _run_segment (not through
+            # _probe) are its localization: the chase and threshold hits
+            f = sys._getframe(1)
+            if f.f_code.co_name != "_run_segment":
+                while f is not None and f.f_code.co_name not in ("_run_segment", "_probe"):
+                    f = f.f_back
+                if f is not None and f.f_code.co_name == "_run_segment":
+                    calls["dists"] += 1
+            return pair_dists(self, y)
+
+        monkeypatch.setattr(integrator, "_golden_min", counting_golden)
+        monkeypatch.setattr(_Driver, "pair_dists", counting_dists)
+        alpha = 0.5
+        e = np.array([1.0, 2.0, 3.0][:d]) / np.linalg.norm([1.0, 2.0, 3.0][:d])
+        closing = -critical_velocity(1.0, alpha)
+        for n, m in [(4, 2), (12, 6)]:
+            calls.update(searches=0, dists=0)
+            in_a = (np.arange(n) < m)[:, None]
+            x = np.where(in_a, -0.5 * e, 0.5 * e)
+            v = np.where(in_a, 0.5 * closing * e, -0.5 * closing * e)
+            traj = solve_piecewise(make_system(x, v, SingularKernel(alpha=alpha)), SolverConfig(t_end=0.6))
+            assert [ev.kind for ev in traj.events] == [STICKING]
+            assert abs(traj.events[0].t_event - stick_time(1.0, alpha)) < 1e-6
+            # every pair is still searched, but the evaluations of one
+            # golden section and bisection (about 80 at most) serve them
+            # all; evaluating per pair costs about 40 for each pair
+            assert calls["searches"] >= m * (n - m)
+            assert calls["dists"] <= 100

@@ -88,6 +88,8 @@ CASES = [
     ),
     ("diagnose_2c", "diagnose", _two_cluster(6, 2, 3, 0.5, 0.6)),
     ("diagnose_2c_alpha_quarter", "diagnose", _two_cluster(6, 1, 2, 0.25, 1.8)),
+    # 8 x 24 = 192 coincident pairs in one chase column and one diagnose event
+    ("diagnose_2c_wide", "diagnose", _two_cluster(32, 8, 2, 0.5, 0.6)),
 ]
 
 
