@@ -52,7 +52,6 @@ from .integrator import (
     CollisionEvent,
     PiecewiseTrajectory,
     SolverConfig,
-    classify_event,
     solve_piecewise,
 )
 from .kernels import (
@@ -106,7 +105,6 @@ __all__ = [
     "SolverConfig",
     "CollisionEvent",
     "PiecewiseTrajectory",
-    "classify_event",
     "solve_piecewise",
     "STICKING",
     "NON_STICK",

@@ -56,12 +56,13 @@ from .errors import (
     ValidationError,
 )
 from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
-from .kernels import CuckerSmaleKernel, SingularKernel
+from .kernels import CuckerSmaleKernel, SingularKernel, _check_alpha
 from .twobody import (
     CollideNonstick,
     NoCollision,
     StickFiniteTime,
     TwoBodyProblem,
+    _check_phi0,
     bounded_weight_floor_check,
     classify,
     critical_velocity,
@@ -180,6 +181,15 @@ def _parse_int(key: str, raw: str) -> int:
         raise ValidationError(f"not an integer: {raw!r}", key=key) from None
 
 
+def _validated(key: str, check, value):
+    """``check(value)``, with a DomainError re-raised as a ValidationError
+    that names ``key``."""
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise ValidationError(str(exc), key=key) from None
+
+
 def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     """Raw (value, line number) per key per section; structure errors here."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -246,8 +256,8 @@ def _build_scenario(raw: dict[str, tuple[str, int]]) -> ScenarioConfig:
         elif key == "speed":
             sc.speed = _parse_float(key, value)
 
-    if sc.alpha is not None and not (0.0 < sc.alpha < 1.0):
-        raise ValidationError(f"must lie strictly inside (0, 1), got {sc.alpha}", key="alpha")
+    if sc.alpha is not None:
+        _validated("alpha", _check_alpha, sc.alpha)
 
     if vector_keys:
         if sc.n is None or sc.d is None:
@@ -295,15 +305,13 @@ def _build_twobody(raw: dict[str, tuple[str, int]]) -> TwoBodyConfig:
         if key not in _TWOBODY_KEYS:
             raise ValidationError("unknown key in [twobody]", key=key)
         vals[key] = value
-    if "phi0" not in vals:
-        raise ValidationError("required for the separation problem", key="phi0")
-    if "dphi0" not in vals:
-        raise ValidationError("required for the separation problem", key="dphi0")
+    for key in ("phi0", "dphi0"):
+        if key not in vals:
+            raise ValidationError("required for the separation problem", key=key)
     phi0 = _parse_float("phi0", vals["phi0"])
     dphi0 = _parse_float("dphi0", vals["dphi0"])
     n_levels = _parse_int("n_levels", vals["n_levels"]) if "n_levels" in vals else 20
-    if phi0 <= 0.0:
-        raise ValidationError(f"must be positive, got {phi0}", key="phi0")
+    _validated("phi0", _check_phi0, phi0)
     if n_levels < 2:
         raise ValidationError(f"must be at least 2, got {n_levels}", key="n_levels")
     return TwoBodyConfig(phi0=phi0, dphi0=dphi0, n_levels=n_levels)
@@ -316,10 +324,7 @@ def _build_n_list(raw: dict[str, tuple[str, int]]) -> tuple[int, ...]:
     if "n_list" not in raw:
         raise ValidationError("required for convergence runs", key="n_list")
     value, _ = raw["n_list"]
-    try:
-        return _check_n_list(_parse_int("n_list", p) for p in value.split())
-    except DomainError as exc:
-        raise ValidationError(str(exc), key="n_list") from None
+    return _validated("n_list", _check_n_list, (_parse_int("n_list", p) for p in value.split()))
 
 
 def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out") -> RunConfig:

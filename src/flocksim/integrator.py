@@ -21,10 +21,11 @@ The first time an armed pair dips below the sticking distance
 ``d_stick`` the crossing is localized by bisection on the dense output
 and a probe phase takes over.
 
-The probe integrates through the encounter at full resolution, recording a
-monitor row per step for the proximal group: its diameter (largest
-pairwise distance) and velocity spread (largest pairwise speed).  It ends
-in one of four dispositions:
+The probe integrates through the encounter at full resolution.  Per step
+it grows the proximal group over the pair gaps it already holds (a
+cluster's rows coincide bitwise, so its members join through equal gaps)
+and records the group's diameter (largest pairwise distance) and velocity
+spread (largest pairwise speed).  It ends in one of four dispositions:
 
 * ``stick``   -- the group diameter and spread fell below the sticking
   thresholds and the collapse either went deep (diameter below
@@ -33,9 +34,9 @@ in one of four dispositions:
   over the monitor rows above the cap region of the working kernel, where
   the regularized and singular weights coincide and the collapse follows
   the singular profile.
-* ``rebound`` -- every watched pair climbed back above ``d_stick``.  The
-  closest-approach time is refined by golden-section search on the dense
-  output; the event is a sticking if the spread there is below
+* ``rebound`` -- every watched pair climbed back above ``d_stick``.  Only
+  here is the closest-approach time refined, by golden-section search on
+  the dense output; the event is a sticking if the spread there is below
   ``v_stick`` and a non-stick collision otherwise.
 * ``horizon`` / ``budget`` -- the encounter reached the end of the time
   span, or exhausted the probe step budget, and is reported unresolved.
@@ -69,9 +70,7 @@ __all__ = [
     "UNRESOLVED",
     "SolverConfig",
     "CollisionEvent",
-    "Encounter",
     "PiecewiseTrajectory",
-    "classify_event",
     "solve_piecewise",
 ]
 
@@ -136,26 +135,28 @@ class CollisionEvent:
 
 @dataclass
 class Encounter:
-    """Raw probe record handed to :func:`classify_event`."""
+    """Probe record handed to :func:`classify_event`.
 
-    t_cross: float
-    group: tuple[int, ...]
+    ``t``, ``rel_speed`` and ``min_dist`` describe the group where the
+    disposition places the event: the threshold instant of a ``stick``
+    (``min_dist`` is then the group diameter), the refined closest approach
+    of a ``rebound``, and the last probe step of a ``horizon`` or
+    ``budget`` exit.  The next segment starts at ``t_probe_end``.  The
+    monitor rows, ``alpha``, ``fit_floor`` and ``n_particles`` feed
+    :func:`_stick_time_fit`.
+    """
+
     disposition: str
-    t_min: float
+    group: tuple[int, ...]
+    t: float
+    rel_speed: float
     min_dist: float
-    spread_at_min: float
     t_probe_end: float
-    end_spread: float
-    end_min_dist: float
     monitor_t: np.ndarray
     monitor_diam: np.ndarray
-    monitor_spread: np.ndarray
     alpha: Optional[float]
     fit_floor: float
     n_particles: int
-    t_threshold: Optional[float] = None
-    diam_threshold: Optional[float] = None
-    spread_threshold: Optional[float] = None
 
 
 @dataclass
@@ -255,22 +256,21 @@ class _Driver:
         span = v.max(axis=0) - v.min(axis=0)
         return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
 
-    def component(
-        self, y: np.ndarray, dists: np.ndarray, threshold: float
-    ) -> tuple[int, tuple[int, ...]]:
-        """The closest pair (index into ``dists``, the pair distances of
-        ``y``) and the particles reachable from it through gaps <= threshold."""
-        x = y[: self.nd].reshape(self.n, self.d)
-        diff = x[None, :, :] - x[:, None, :]
-        adj = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff)) <= threshold
+    def component(self, dists: np.ndarray, threshold: float) -> tuple[int, tuple[int, ...]]:
+        """The closest pair (index into the pair distances ``dists``) and the
+        particles reachable from it through pair gaps <= threshold.  A
+        cluster's rows coincide bitwise, so its members join together."""
+        close = dists <= threshold
+        pi, pj = self.pi[close], self.pj[close]
         seed = int(np.argmin(dists))
         reach = np.zeros(self.n, dtype=bool)
         reach[[self.pi[seed], self.pj[seed]]] = True
-        while True:
-            grown = reach | adj[reach].any(axis=0)
-            if np.array_equal(grown, reach):
-                return seed, tuple(np.flatnonzero(reach).tolist())
-            reach = grown
+        size = 0
+        while reach.sum() > size:
+            size = reach.sum()
+            link = reach[pi] | reach[pj]
+            reach[pi[link]] = reach[pj[link]] = True
+        return seed, tuple(np.flatnonzero(reach).tolist())
 
     def group_stats(self, y: np.ndarray, group) -> tuple[float, float]:
         """(diameter, velocity spread) over a particle group."""
@@ -396,27 +396,21 @@ def _probe(
     v_stick = config.v_stick
     phi_deep = d_stick / _PHI_DEEP_FACTOR
 
-    dists0 = driver.pair_dists(y_cross)
-    seed, group = driver.component(y_cross, dists0, d_stick * (1.0 + 1e-9))
+    dists = driver.pair_dists(y_cross)
+    seed, group = driver.component(dists, d_stick * (1.0 + 1e-9))
     watch = np.zeros(driver.n_pairs, dtype=bool)
     watch[seed] = True
 
     solver = _stepper(driver, t_cross, y_cross, t_bound, config)
 
-    diam0, spread0 = driver.group_stats(y_cross, group)
+    diam, spread = driver.group_stats(y_cross, group)
     mon_t = [t_cross]
-    mon_diam = [diam0]
-    mon_spread = [spread0]
+    mon_diam = [diam]
 
-    best_val = float(dists0[seed])
-    best_t = t_cross
-    best_dense = None
-    best_lo = best_hi = t_cross
+    best_val = float(dists[seed])
+    best_lo = t_cross
 
     disposition = "horizon"
-    t_threshold = None
-    diam_threshold = None
-    spread_threshold = None
     t_cur, y_cur = t_cross, y_cross
 
     steps = _steps(solver, "during encounter probe")
@@ -433,7 +427,6 @@ def _probe(
             best_hi = float(ts_sub[1])
         if col_min[c] < best_val:
             best_val = float(col_min[c])
-            best_t = float(ts_sub[c + 1])
             best_dense = dense
             best_lo = float(ts_sub[c])
             best_hi = float(ts_sub[min(c + 2, _NSUB)])
@@ -453,11 +446,10 @@ def _probe(
             disposition = "rebound"
             break
 
-        _, group = driver.component(y_now, dists, d_stick)
+        _, group = driver.component(dists, d_stick)
         diam, spread = driver.group_stats(y_now, group)
         mon_t.append(t_now)
         mon_diam.append(diam)
-        mon_spread.append(spread)
 
         if diam < d_stick and spread < v_stick:
             stalled = False
@@ -468,47 +460,36 @@ def _probe(
                     stalled = rate < v_stick / _STALL_RATE_FACTOR
             if diam < phi_deep or stalled:
                 disposition = "stick"
-                t_threshold = t_now
-                diam_threshold = diam
-                spread_threshold = spread
                 break
         if k == _MAX_PROBE_STEPS:
             disposition = "budget"
             break
 
-    # refine the closest approach inside its bracketing subinterval
-    t_min, min_dist = best_t, best_val
-    spread_at_min = mon_spread[-1]
-    if best_dense is not None:
+    # the event sits at the last step, except a rebound's, which is refined
+    # to the closest approach inside its bracketing subinterval
+    t_event = t_cur
+    min_dist = diam if disposition == "stick" else float(dists.min())
+    if disposition == "rebound":
         tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
-        t_min = _golden_min(lambda s: driver.pair_dists(best_dense(s)).min(), best_lo, best_hi, tol)
-        y_min = best_dense(t_min)
-        dmin = driver.pair_dists(y_min)
-        seed_min, group_min = driver.component(y_min, dmin, d_stick)
-        min_dist = dmin[seed_min]
-        _, spread_at_min = driver.group_stats(y_min, group_min)
-        if disposition == "rebound":
-            group = group_min
+        t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s)).min(), best_lo, best_hi, tol)
+        y_min = best_dense(t_event)
+        dists = driver.pair_dists(y_min)
+        seed, group = driver.component(dists, d_stick)
+        min_dist = float(dists[seed])
+        _, spread = driver.group_stats(y_min, group)
 
     enc = Encounter(
-        t_cross=t_cross,
-        group=tuple(group),
         disposition=disposition,
-        t_min=float(t_min),
-        min_dist=float(min_dist),
-        spread_at_min=float(spread_at_min),
+        group=tuple(group),
+        t=float(t_event),
+        rel_speed=float(spread),
+        min_dist=min_dist,
         t_probe_end=float(t_cur),
-        end_spread=float(mon_spread[-1]),
-        end_min_dist=float(driver.pair_dists(y_cur).min()),
         monitor_t=np.array(mon_t),
         monitor_diam=np.array(mon_diam),
-        monitor_spread=np.array(mon_spread),
         alpha=driver.alpha,
         fit_floor=driver.fit_floor,
         n_particles=driver.n,
-        t_threshold=t_threshold,
-        diam_threshold=diam_threshold,
-        spread_threshold=spread_threshold,
     )
     return enc, np.array(y_cur, dtype=float)
 
@@ -674,40 +655,28 @@ def _stick_time_fit(enc: Encounter, config: SolverConfig) -> Optional[float]:
 def classify_event(encounter: Encounter, config: SolverConfig) -> CollisionEvent:
     """Turn a probe record into a typed event.
 
-    A collapse certified by the thresholds is a sticking; its time is the
-    later of the threshold instant and the power-law fit.  A rebound is a
-    sticking when the spread at closest approach is below ``v_stick`` and
-    a non-stick collision otherwise (the distance minimum is transversal).
-    Anything else is unresolved at the probe's last time.
+    A resolved encounter (a collapse certified by the thresholds, or a
+    rebound) is a sticking when its spread is below ``v_stick`` and a
+    non-stick collision otherwise; anything else is unresolved.  A
+    collapse's time is the later of the threshold instant and the
+    power-law fit.
     """
     enc = encounter
+    if enc.disposition in ("stick", "rebound"):
+        kind = STICKING if enc.rel_speed < config.v_stick else NON_STICK
+    else:
+        kind = UNRESOLVED
+    t_event = enc.t
     if enc.disposition == "stick":
-        t_event = enc.t_threshold
         t_fit = _stick_time_fit(enc, config)
         if t_fit is not None:
             t_event = max(t_event, t_fit)
-        return CollisionEvent(
-            t_event=float(t_event),
-            group=enc.group,
-            kind=STICKING,
-            rel_speed=float(enc.spread_threshold),
-            min_dist=float(enc.diam_threshold),
-        )
-    if enc.disposition == "rebound":
-        kind = STICKING if enc.spread_at_min < config.v_stick else NON_STICK
-        return CollisionEvent(
-            t_event=enc.t_min,
-            group=enc.group,
-            kind=kind,
-            rel_speed=enc.spread_at_min,
-            min_dist=enc.min_dist,
-        )
     return CollisionEvent(
-        t_event=enc.t_probe_end,
+        t_event=t_event,
         group=enc.group,
-        kind=UNRESOLVED,
-        rel_speed=enc.end_spread,
-        min_dist=enc.end_min_dist,
+        kind=kind,
+        rel_speed=enc.rel_speed,
+        min_dist=enc.min_dist,
     )
 
 

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flocksim import (
@@ -304,6 +304,42 @@ class TestDriverBlocks:
         assert np.all(speeds <= bound[:, None])
 
 
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 8),
+        d=st.integers(1, 3),
+        n_clusters=st.integers(2, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_component_matches_dense_reachability(self, seed, n, d, n_clusters, data):
+        # clusters are coincident rows, so equal gaps tie both the closest
+        # pair and thresholds drawn from the gaps; the reference grows the
+        # group over the dense N x N separations, same-cluster zeros included
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_clusters, n)
+        assume(len(set(labels.tolist())) > 1)
+        x = rng.normal(size=(n_clusters, d))[labels] * 10.0 ** rng.integers(-4, 2)
+        v = rng.normal(size=(n_clusters, d))[labels]
+        driver = _Driver(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig())
+        dists = driver.pair_dists(np.concatenate([x.ravel(), v.ravel()]))
+        threshold = data.draw(st.sampled_from(dists.tolist()))
+
+        diff = x[None, :, :] - x[:, None, :]
+        dense = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+        iu, ju = np.triu_indices(n, 1)
+        inter = labels[iu] != labels[ju]
+        ref_seed = int(np.argmin(dense[iu, ju][inter]))
+        reach = {int(iu[inter][ref_seed]), int(ju[inter][ref_seed])}
+        frontier = list(reach)
+        while frontier:
+            for j in np.flatnonzero(dense[frontier.pop()] <= threshold).tolist():
+                if j not in reach:
+                    reach.add(j)
+                    frontier.append(j)
+        assert driver.component(dists, threshold) == (ref_seed, tuple(sorted(reach)))
+
+
 class TestChase:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_dip_between_columns_is_chased(self, d, monkeypatch):
@@ -349,6 +385,30 @@ class TestChase:
         ref = classify(TwoBodyProblem(1.0, -speed, 0.25))
         assert abs(traj.events[0].t_event - ref.t_hit) <= 1e-9
         assert traj.events[0].min_dist < config.d_stick
+
+    @pytest.mark.parametrize(
+        "v_half,kind,searches", [(2.0, STICKING, 0), (2.5, NON_STICK, 1)]
+    )
+    def test_probe_refines_rebounds_only(self, v_half, kind, searches, monkeypatch):
+        # the critical pair sticks and its event time comes from the
+        # threshold instant and the power-law fit, so the probe runs no
+        # closest-approach search; the supercritical pair rebounds and runs one
+        callers = []
+        golden = integrator._golden_min
+
+        def counting(f, t_lo, t_hi, tol):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return golden(f, t_lo, t_hi, tol)
+
+        monkeypatch.setattr(integrator, "_golden_min", counting)
+        traj = solve_piecewise(_two_body(v_half), SolverConfig(t_end=1.0))
+        assert [e.kind for e in traj.events] == [kind]
+        assert callers.count("_probe") == searches
+        if kind == STICKING:
+            assert abs(traj.events[0].t_event - stick_time(1.0, 0.5)) < 1e-6
+        else:
+            ref = classify(TwoBodyProblem(1.0, -2.0 * v_half, 0.5))
+            assert abs(traj.events[0].t_event - ref.t_hit) < 1e-9
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chase_cost_does_not_grow_with_coincident_pairs(self, d, monkeypatch):

@@ -74,6 +74,8 @@ def _two_cluster(n: int, m: int, d: int, alpha: float, t_end: float, u=None) -> 
 CASES = [
     # (name, command, config text)
     ("readme_pair", "simulate", README_PAIR),
+    # the horizon falls inside the encounter: the probe's horizon exit
+    ("unresolved_pair", "simulate", README_PAIR.replace("t_end = 0.7", "t_end = 0.4999")),
     ("storm_1d", "simulate", _generated(16, 1, 3, 5.0, 0.3)),
     ("swarm_2d", "simulate", _generated(48, 2, 3, 1.0, 0.2)),
     ("rebound_3d", "simulate", _two_cluster(2, 1, 3, 0.5, 0.7, u=5.0)),
