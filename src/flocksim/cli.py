@@ -4,8 +4,12 @@ Config files are line-oriented UTF-8 text: ``[section]`` headers group
 ``key = value`` lines, ``#`` starts a comment, blank lines are ignored.
 Sections are ``[scenario]`` (initial data, inline or generated),
 ``[solver]`` (tolerances and thresholds), ``[twobody]`` (separation
-problem inputs), and ``[converge]`` (cap index list).  Unknown keys are
-rejected by name; structural problems report the line number.
+problem inputs), and ``[converge]`` (cap index list).  ``_SCHEMA`` is the
+single list of the scenario, solver and two-body keys with their types:
+one reader parses every section through it and ``meta.txt`` echoes every
+section from it; only the inline ``x_i``/``v_i`` rows and ``n_list`` have
+readers of their own.  Unknown keys are rejected by name; structural
+problems report the line number.
 
 The scenario generator is pinned so the same seed reproduces the same
 initial data everywhere: a SplitMix64 stream (increment
@@ -19,16 +23,18 @@ Commands write into the output directory:
 
 * ``simulate``: ``trajectory.csv`` (header ``t,x_1_1..x_N_d,v_1_1..v_N_d``,
   one row per sample, round-trippable decimal), ``events.jsonl`` (one
-  object per event: t_event, group, kind, rel_speed, min_dist), and
-  ``meta.txt`` echoing the resolved config in the config grammar itself.
+  object per event: t_event, group, kind, rel_speed, min_dist).
 * ``twobody``: ``report.txt`` with the classification, the level-time
   table, and the bounded-kernel floor ratio when the kernel is the
   smooth family.
 * ``converge``: ``convergence.csv`` with columns
   ``n,sup_dx,sup_dv,reference_gap_x,reference_gap_v`` (consecutive-gap
-  fields are empty on the first row), plus ``meta.txt``.
+  fields are empty on the first row).
 * ``diagnose``: ``report.txt`` (flat ``key = value`` lines),
-  ``r_series.csv``, ``events.jsonl``, ``meta.txt``.
+  ``r_series.csv``, and the ``simulate`` files.
+
+Every successful command also writes ``meta.txt``, the resolved config
+in the config grammar itself; parsing it gives the same run.
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input.
 """
@@ -81,8 +87,6 @@ __all__ = [
     "run_command",
     "main",
 ]
-
-_COMMANDS = ("simulate", "twobody", "converge", "diagnose")
 
 _MASK64 = (1 << 64) - 1
 
@@ -158,10 +162,22 @@ class RunConfig:
     out_dir: str = "flock_out"
 
 
-# solver key -> its type (int or float), in the order meta.txt echoes them
-_SOLVER_TYPES = {f.name: type(f.default) for f in fields(SolverConfig)}
-_SCENARIO_KEYS = {"n", "d", "alpha", "mode", "kernel", "K", "beta", "seed", "box", "speed"}
-_TWOBODY_KEYS = {"phi0", "dphi0", "n_levels"}
+# section -> key -> int, float or the words the key accepts, in the order
+# meta.txt echoes them; the single list of the table-driven config keys
+_SCHEMA = {
+    "scenario": {
+        "n": int, "d": int, "alpha": float,
+        "mode": ("inline", "generate"), "kernel": ("singular", "cucker_smale"),
+        "K": float, "beta": float,
+        "seed": int, "box": float, "speed": float,
+    },
+    "solver": {f.name: type(f.default) for f in fields(SolverConfig)},
+    "twobody": {"phi0": float, "dphi0": float, "n_levels": int},
+}
+# keys read only under one word of their section; meta.txt echoes them
+# only when the section carries that word
+_ONLY_UNDER = {"K": "cucker_smale", "beta": "cucker_smale",
+               "seed": "generate", "box": "generate", "speed": "generate"}
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -181,18 +197,18 @@ def _parse_int(key: str, raw: str) -> int:
         raise ValidationError(f"not an integer: {raw!r}", key=key) from None
 
 
-def _validated(key: str, check, value):
-    """``check(value)``, with a DomainError re-raised as a ValidationError
-    that names ``key``."""
+def _validated(key, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a DomainError re-raised as a
+    ValidationError that names the error's own key, or else ``key``."""
     try:
-        return check(value)
+        return check(*args, **kwargs)
     except DomainError as exc:
-        raise ValidationError(str(exc), key=key) from None
+        raise ValidationError(str(exc), key=exc.key or key) from None
 
 
-def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Raw (value, line number) per key per section; structure errors here."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _split_sections(text: str) -> dict[str, dict[str, str]]:
+    """Raw value per key per section; structure errors here."""
+    sections: dict[str, dict[str, str]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -200,7 +216,7 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in ("scenario", "solver", "twobody", "converge"):
+            if name not in (*_SCHEMA, "converge"):
                 raise ConfigError(f"unknown section [{name}]", line=lineno)
             current = name
             sections.setdefault(name, {})
@@ -216,69 +232,57 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError("empty key", line=lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", line=lineno)
-        sections[current][key] = (value, lineno)
+        sections[current][key] = value
     return sections
 
 
-def _build_scenario(raw: dict[str, tuple[str, int]]) -> ScenarioConfig:
-    sc = ScenarioConfig()
-    vector_keys = {}
-    for key, (value, lineno) in raw.items():
-        if key.startswith("x_") or key.startswith("v_"):
-            vector_keys[key] = (value, lineno)
-            continue
-        if key not in _SCENARIO_KEYS:
-            raise ValidationError("unknown key in [scenario]", key=key)
-        if key == "n":
-            sc.n = _parse_int(key, value)
-        elif key == "d":
-            sc.d = _parse_int(key, value)
-        elif key == "alpha":
-            sc.alpha = _parse_float(key, value)
-        elif key == "mode":
-            if value not in ("inline", "generate"):
-                raise ValidationError(f"mode must be inline or generate, got {value!r}", key=key)
-            sc.mode = value
-        elif key == "kernel":
-            if value not in ("singular", "cucker_smale"):
-                raise ValidationError(
-                    f"kernel must be singular or cucker_smale, got {value!r}", key=key
-                )
-            sc.kernel = value
-        elif key == "K":
-            sc.K = _parse_float(key, value)
-        elif key == "beta":
-            sc.beta = _parse_float(key, value)
-        elif key == "seed":
-            sc.seed = _parse_int(key, value)
-        elif key == "box":
-            sc.box = _parse_float(key, value)
-        elif key == "speed":
-            sc.speed = _parse_float(key, value)
+def _parse_section(name: str, raw: dict[str, str]) -> dict:
+    """Values of one ``_SCHEMA`` section by key, read in file order."""
+    spec = _SCHEMA[name]
+    values = {}
+    for key, value in raw.items():
+        kind = spec.get(key)
+        if kind is None:
+            raise ValidationError(f"unknown key in [{name}]", key=key)
+        if kind is int:
+            values[key] = _parse_int(key, value)
+        elif kind is float:
+            values[key] = _parse_float(key, value)
+        elif value in kind:
+            values[key] = value
+        else:
+            raise ValidationError(f"{key} must be {' or '.join(kind)}, got {value!r}", key=key)
+    return values
 
+
+def _build_scenario(raw: dict[str, str]) -> ScenarioConfig:
+    rows = {key: value for key, value in raw.items() if key.startswith(("x_", "v_"))}
+    scalars = {key: value for key, value in raw.items() if key not in rows}
+    sc = ScenarioConfig(**_parse_section("scenario", scalars))
     if sc.alpha is not None:
         _validated("alpha", _check_alpha, sc.alpha)
+    if sc.kernel == "cucker_smale":
+        _validated(None, CuckerSmaleKernel, K=sc.K, beta=sc.beta)
 
-    if vector_keys:
+    if rows:
         if sc.n is None or sc.d is None:
             raise ValidationError("inline rows need n and d declared", key="n")
-        sc.x = _collect_rows("x", vector_keys, sc.n, sc.d)
-        sc.v = _collect_rows("v", vector_keys, sc.n, sc.d)
+        sc.x = _collect_rows("x", rows, sc.n, sc.d)
+        sc.v = _collect_rows("v", rows, sc.n, sc.d)
         expected = {f"{p}_{i}" for p in ("x", "v") for i in range(1, sc.n + 1)}
-        extra = vector_keys.keys() - expected
+        extra = rows.keys() - expected
         if extra:
             raise ValidationError("row index out of range", key=min(extra))
     return sc
 
 
-def _collect_rows(prefix: str, vector_keys, n: int, d: int) -> np.ndarray:
+def _collect_rows(prefix: str, rows, n: int, d: int) -> np.ndarray:
     out = np.empty((n, d))
     for i in range(1, n + 1):
         key = f"{prefix}_{i}"
-        if key not in vector_keys:
+        if key not in rows:
             raise ValidationError("missing inline row", key=key)
-        value, _ = vector_keys[key]
-        parts = value.split()
+        parts = rows[key].split()
         if len(parts) != d:
             raise ValidationError(f"expected {d} components, got {len(parts)}", key=key)
         for k, part in enumerate(parts):
@@ -286,45 +290,26 @@ def _collect_rows(prefix: str, vector_keys, n: int, d: int) -> np.ndarray:
     return out
 
 
-def _build_solver(raw: dict[str, tuple[str, int]]) -> SolverConfig:
-    kwargs = {}
-    for key, (value, lineno) in raw.items():
-        kind = _SOLVER_TYPES.get(key)
-        if kind is None:
-            raise ValidationError("unknown key in [solver]", key=key)
-        kwargs[key] = _parse_int(key, value) if kind is int else _parse_float(key, value)
-    try:
-        return SolverConfig(**kwargs)
-    except DomainError as exc:
-        raise ValidationError(str(exc), key=exc.key) from None
-
-
-def _build_twobody(raw: dict[str, tuple[str, int]]) -> TwoBodyConfig:
-    vals = {}
-    for key, (value, lineno) in raw.items():
-        if key not in _TWOBODY_KEYS:
-            raise ValidationError("unknown key in [twobody]", key=key)
-        vals[key] = value
+def _build_twobody(raw: dict[str, str]) -> TwoBodyConfig:
+    values = _parse_section("twobody", raw)
     for key in ("phi0", "dphi0"):
-        if key not in vals:
+        if key not in values:
             raise ValidationError("required for the separation problem", key=key)
-    phi0 = _parse_float("phi0", vals["phi0"])
-    dphi0 = _parse_float("dphi0", vals["dphi0"])
-    n_levels = _parse_int("n_levels", vals["n_levels"]) if "n_levels" in vals else 20
-    _validated("phi0", _check_phi0, phi0)
-    if n_levels < 2:
-        raise ValidationError(f"must be at least 2, got {n_levels}", key="n_levels")
-    return TwoBodyConfig(phi0=phi0, dphi0=dphi0, n_levels=n_levels)
+    tb = TwoBodyConfig(**values)
+    _validated("phi0", _check_phi0, tb.phi0)
+    if tb.n_levels < 2:
+        raise ValidationError(f"must be at least 2, got {tb.n_levels}", key="n_levels")
+    return tb
 
 
-def _build_n_list(raw: dict[str, tuple[str, int]]) -> tuple[int, ...]:
+def _build_n_list(raw: dict[str, str]) -> tuple[int, ...]:
     for key in raw:
         if key != "n_list":
             raise ValidationError("unknown key in [converge]", key=key)
     if "n_list" not in raw:
         raise ValidationError("required for convergence runs", key="n_list")
-    value, _ = raw["n_list"]
-    return _validated("n_list", _check_n_list, (_parse_int("n_list", p) for p in value.split()))
+    parts = raw["n_list"].split()
+    return _validated("n_list", _check_n_list, (_parse_int("n_list", p) for p in parts))
 
 
 def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out") -> RunConfig:
@@ -333,7 +318,7 @@ def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out
         raise ValidationError(f"unknown command {command!r}", key="command")
     sections = _split_sections(text)
     scenario = _build_scenario(sections.get("scenario", {}))
-    solver = _build_solver(sections.get("solver", {}))
+    solver = _validated(None, SolverConfig, **_parse_section("solver", sections.get("solver", {})))
     twobody = _build_twobody(sections["twobody"]) if "twobody" in sections else None
     n_list = _build_n_list(sections["converge"]) if "converge" in sections else None
 
@@ -375,9 +360,9 @@ def _validate_system_scenario(sc: ScenarioConfig, command: str) -> None:
     else:
         if sc.seed is None:
             raise ValidationError("required for generated scenarios", key="seed")
-        if not (math.isfinite(sc.box) and sc.box > 0.0):
+        if sc.box <= 0.0:
             raise ValidationError(f"must be positive, got {sc.box}", key="box")
-        if not (math.isfinite(sc.speed) and sc.speed > 0.0):
+        if sc.speed <= 0.0:
             raise ValidationError(f"must be positive, got {sc.speed}", key="speed")
 
 
@@ -438,55 +423,38 @@ def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
 
 
 def _meta_text(config: RunConfig) -> str:
+    """The resolved config in the config grammar, one ``_SCHEMA`` section
+    after another."""
+    blocks = []
+    for name, spec in _SCHEMA.items():
+        section = getattr(config, name)
+        if section is None:
+            continue
+        words = {getattr(section, key) for key, kind in spec.items() if isinstance(kind, tuple)}
+        lines = [f"[{name}]"]
+        for key, kind in spec.items():
+            val = getattr(section, key)
+            under = _ONLY_UNDER.get(key)
+            if val is None or (under is not None and under not in words):
+                continue
+            lines.append(f"{key} = {_fmt(val) if kind is float else val}")
+        blocks.append(lines)
     sc = config.scenario
-    lines = [f"# command: {config.command}", "[scenario]"]
-    if sc.n is not None:
-        lines.append(f"n = {sc.n}")
-    if sc.d is not None:
-        lines.append(f"d = {sc.d}")
-    if sc.alpha is not None:
-        lines.append(f"alpha = {_fmt(sc.alpha)}")
-    lines.append(f"mode = {sc.mode}")
-    lines.append(f"kernel = {sc.kernel}")
-    if sc.kernel == "cucker_smale":
-        lines.append(f"K = {_fmt(sc.K)}")
-        lines.append(f"beta = {_fmt(sc.beta)}")
-    if sc.mode == "generate":
-        lines.append(f"seed = {sc.seed}")
-        lines.append(f"box = {_fmt(sc.box)}")
-        lines.append(f"speed = {_fmt(sc.speed)}")
-    elif sc.x is not None:
-        for i in range(sc.n):
-            lines.append(f"x_{i+1} = " + " ".join(_fmt(val) for val in sc.x[i]))
-        for i in range(sc.n):
-            lines.append(f"v_{i+1} = " + " ".join(_fmt(val) for val in sc.v[i]))
-    lines += ["", "[solver]"]
-    for key, kind in _SOLVER_TYPES.items():
-        val = getattr(config.solver, key)
-        lines.append(f"{key} = {val if kind is int else _fmt(val)}")
-    if config.twobody is not None:
-        tb = config.twobody
-        lines += [
-            "",
-            "[twobody]",
-            f"phi0 = {_fmt(tb.phi0)}",
-            f"dphi0 = {_fmt(tb.dphi0)}",
-            f"n_levels = {tb.n_levels}",
-        ]
+    if sc.mode == "inline" and sc.x is not None:
+        blocks[0] += [f"x_{i} = " + " ".join(map(_fmt, row)) for i, row in enumerate(sc.x, 1)]
+        blocks[0] += [f"v_{i} = " + " ".join(map(_fmt, row)) for i, row in enumerate(sc.v, 1)]
     if config.n_list is not None:
-        lines += ["", "[converge]", "n_list = " + " ".join(str(n) for n in config.n_list)]
-    return "\n".join(lines) + "\n"
+        blocks.append(["[converge]", "n_list = " + " ".join(map(str, config.n_list))])
+    return f"# command: {config.command}\n" + "\n\n".join(map("\n".join, blocks)) + "\n"
 
 
-def _cmd_simulate(config: RunConfig, out: Path) -> int:
+def _cmd_simulate(config: RunConfig, out: Path) -> None:
     system = build_system(config.scenario)
     traj = solve_piecewise(system, config.solver)
     serialize_trajectory(traj, out)
-    _write_text(out / "meta.txt", _meta_text(config))
-    return 0
 
 
-def _cmd_twobody(config: RunConfig, out: Path) -> int:
+def _cmd_twobody(config: RunConfig, out: Path) -> None:
     sc = config.scenario
     tb = config.twobody
     lines = []
@@ -516,11 +484,9 @@ def _cmd_twobody(config: RunConfig, out: Path) -> int:
                 f"level_{rec.n} = {_fmt(rec.gap)} {_fmt(rec.bound)} {'ok' if rec.ok else 'VIOLATED'}"
             )
     _write_text(out / "report.txt", "".join(line + "\n" for line in lines))
-    _write_text(out / "meta.txt", _meta_text(config))
-    return 0
 
 
-def _cmd_converge(config: RunConfig, out: Path) -> int:
+def _cmd_converge(config: RunConfig, out: Path) -> None:
     system = build_system(config.scenario)
     runs = run_family(system.x, system.v, config.scenario.alpha, config.n_list, config.solver)
     report = cauchy_table(runs, config.n_list)
@@ -532,11 +498,9 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
             f"{n},{dx},{dv},{_fmt(report.reference_gap_x[k])},{_fmt(report.reference_gap_v[k])}"
         )
     _write_text(out / "convergence.csv", "\n".join(lines) + "\n")
-    _write_text(out / "meta.txt", _meta_text(config))
-    return 0
 
 
-def _cmd_diagnose(config: RunConfig, out: Path) -> int:
+def _cmd_diagnose(config: RunConfig, out: Path) -> None:
     system = build_system(config.scenario)
     traj = solve_piecewise(system, config.solver)
     report = run_diagnostics(traj)
@@ -562,8 +526,15 @@ def _cmd_diagnose(config: RunConfig, out: Path) -> int:
         series.append(f"{_fmt(t)},{_fmt(r)}")
     _write_text(out / "r_series.csv", "\n".join(series) + "\n")
     serialize_trajectory(traj, out)
-    _write_text(out / "meta.txt", _meta_text(config))
-    return 0
+
+
+# command -> the function that writes its outputs besides meta.txt
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "twobody": _cmd_twobody,
+    "converge": _cmd_converge,
+    "diagnose": _cmd_diagnose,
+}
 
 
 def run_command(config: RunConfig) -> int:
@@ -571,13 +542,9 @@ def run_command(config: RunConfig) -> int:
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if config.command == "simulate":
-            return _cmd_simulate(config, out)
-        if config.command == "twobody":
-            return _cmd_twobody(config, out)
-        if config.command == "converge":
-            return _cmd_converge(config, out)
-        return _cmd_diagnose(config, out)
+        _COMMANDS[config.command](config, out)
+        _write_text(out / "meta.txt", _meta_text(config))
+        return 0
     except (ConfigError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

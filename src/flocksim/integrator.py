@@ -138,11 +138,11 @@ class Encounter:
     """Probe record handed to :func:`classify_event`.
 
     ``t``, ``rel_speed`` and ``min_dist`` describe the group where the
-    disposition places the event: the threshold instant of a ``stick``
-    (``min_dist`` is then the group diameter), the refined closest approach
-    of a ``rebound``, and the last probe step of a ``horizon`` or
-    ``budget`` exit.  The next segment starts at ``t_probe_end``.  The
-    monitor rows, ``alpha``, ``fit_floor`` and ``n_particles`` feed
+    disposition places the event: the threshold instant of a ``stick``, the
+    refined closest approach of a ``rebound``, and the last probe step of a
+    ``horizon`` or ``budget`` exit; ``min_dist`` is the smallest pair
+    distance there.  The next segment starts at ``t_probe_end``.  The monitor
+    rows, ``alpha``, ``fit_floor`` and ``n_particles`` feed
     :func:`_stick_time_fit`.
     """
 
@@ -468,7 +468,7 @@ def _probe(
     # the event sits at the last step, except a rebound's, which is refined
     # to the closest approach inside its bracketing subinterval
     t_event = t_cur
-    min_dist = diam if disposition == "stick" else float(dists.min())
+    min_dist = float(dists.min())
     if disposition == "rebound":
         tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
         t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s)).min(), best_lo, best_hi, tol)

@@ -136,9 +136,9 @@ class CuckerSmaleKernel:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.K) and self.K > 0.0):
-            raise DomainError(f"K must be positive and finite, got {self.K!r}")
+            raise DomainError(f"K must be positive and finite, got {self.K!r}", key="K")
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
-            raise DomainError(f"beta must be nonnegative and finite, got {self.beta!r}")
+            raise DomainError(f"beta must be nonnegative and finite, got {self.beta!r}", key="beta")
 
     def weight(self, s: np.ndarray) -> np.ndarray:
         return self.K * (1.0 + s * s) ** (-self.beta / 2.0)

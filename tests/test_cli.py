@@ -1,6 +1,7 @@
 """Tests for config parsing, scenario generation, and the command front end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flocksim.cli import (
     generate_scenario,
     main,
     parse_config,
+    run_command,
 )
 from flocksim.dynamics import make_system
 from flocksim.errors import ConfigError, ValidationError
@@ -165,6 +167,29 @@ class TestParseErrors:
             parse_config(f"[solver]\n{key} = {value}\n")
         assert exc_info.value.key == key
 
+    @pytest.mark.parametrize(
+        "body,key",
+        [
+            ("K = -1\nbeta = -3", "K"),
+            ("K = 0", "K"),
+            ("beta = -3", "beta"),
+        ],
+        ids=["K_and_beta", "K_zero", "beta"],
+    )
+    def test_bounded_kernel_error_key(self, body, key):
+        text = SIM_TEXT.replace("alpha = 0.5", "kernel = cucker_smale\n" + body)
+        with pytest.raises(ValidationError) as exc_info:
+            parse_config(text)
+        assert exc_info.value.key == key
+
+    def test_bad_bounded_kernel_exits_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SIM_TEXT.replace("alpha = 0.5", "kernel = cucker_smale\nK = -1"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "K must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inline_row_errors(self):
         base = "[scenario]\nn = 2\nd = 1\nalpha = 0.5\n"
         with pytest.raises(ValidationError, match="missing inline row"):
@@ -254,6 +279,39 @@ class TestSimulateCommand:
         data = _load_csv(sim_out / "trajectory.csv")
         assert np.array_equal(data[:, 0], traj.t)
         assert np.array_equal(data[:, 1], traj.x[:, 0, 0])
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("simulate", SIM_TEXT),
+            (
+                "simulate",
+                "[scenario]\nmode = generate\nn = 3\nd = 2\nalpha = 0.5\nseed = 3\n"
+                "box = 2.5\nspeed = 0.75\n[solver]\nt_end = 0.2\n",
+            ),
+            ("simulate", SIM_TEXT.replace("alpha = 0.5", "kernel = cucker_smale\nK = 2.5\nbeta = 1.5")),
+            ("twobody", "[scenario]\nalpha = 0.5\n[twobody]\nphi0 = 1.0\ndphi0 = -4.0\nn_levels = 7\n"),
+            (
+                "converge",
+                "[scenario]\nn = 2\nd = 1\nalpha = 0.5\n"
+                "x_1 = -0.5\nx_2 = 0.5\nv_1 = 0.5\nv_2 = -0.5\n"
+                "[solver]\nt_end = 2.0\n[converge]\nn_list = 5 50\n",
+            ),
+        ],
+        ids=["inline", "generate", "cucker_smale", "twobody", "converge"],
+    )
+    def test_meta_is_a_fixed_point(self, command, text, tmp_path):
+        config = parse_config(text, command, str(tmp_path / "a"))
+        assert run_command(config) == 0
+        meta = (tmp_path / "a" / "meta.txt").read_text()
+        again = parse_config(meta, command, str(tmp_path / "b"))
+        for name in ("x", "v"):
+            a, b = getattr(config.scenario, name), getattr(again.scenario, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert replace(again.scenario, x=None, v=None) == replace(config.scenario, x=None, v=None)
+        assert replace(again, scenario=None, out_dir="") == replace(config, scenario=None, out_dir="")
+        assert run_command(again) == 0
+        assert (tmp_path / "b" / "meta.txt").read_bytes() == meta.encode()
 
     def test_rerun_is_byte_identical(self, sim_out, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -198,6 +198,15 @@ class TestReboundAndStall:
         # two merges spent on one event, still within the N-1 budget
         np.testing.assert_allclose(traj.final_state.v, 0.0, atol=1e-10)
 
+    def test_triple_collapse_min_dist_is_smallest_gap(self, triple_run):
+        # the stick row is the last with open gaps; min_dist is the smaller
+        # of its two gaps, not the group diameter (their sum)
+        traj, _ = triple_run
+        gaps = np.abs(np.diff(traj.x[:, :, 0], axis=1))
+        last = np.flatnonzero(gaps.max(axis=1) > 0.0)[-1]
+        assert traj.t[last] <= traj.events[0].t_event
+        assert traj.events[0].min_dist == gaps[last].min()
+
     def test_bounded_kernel_passthrough(self):
         # head-on under a bounded weight: collision with residual speed
         x = np.array([[-0.5], [0.5]])

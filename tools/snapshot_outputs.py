@@ -6,7 +6,11 @@ Usage::
 
 Runs ``simulate``, ``twobody``, ``converge`` and ``diagnose`` in-process
 through the public ``parse_config``/``run_command`` on fixed configs and
-writes each config's files to ``OUT_DIR/<name>/``.  ``flocksim`` is
+writes each config's files to ``OUT_DIR/<name>/``, then parses a fixed
+list of invalid configs and writes one line per config to
+``OUT_DIR/errors.txt``: the exception type, its ``.key`` and its message
+(or ``accepted``), so that a changed validation message shows up in the
+diff too.  ``flocksim`` is
 imported from ``PYTHONPATH``, so another checkout (a clone of an older
 commit, say) can be snapshotted with this same script and the two
 snapshots compared with ``diff -r``.  The whole set runs in well under
@@ -22,6 +26,7 @@ import time
 from pathlib import Path
 
 from flocksim.cli import parse_config, run_command
+from flocksim.errors import ConfigError, ValidationError
 
 README_PAIR = """\
 [scenario]
@@ -36,6 +41,13 @@ v_2 = -2.0
 [solver]
 t_end = 0.7
 """
+
+# the README pair under the bounded weight, fast enough to cross
+BOUNDED_PAIR = (
+    README_PAIR.replace("alpha = 0.5", "kernel = cucker_smale\nK = 2.5\nbeta = 1.5")
+    .replace("v_1 = 2.0", "v_1 = 3.0")
+    .replace("v_2 = -2.0", "v_2 = -3.0")
+)
 
 
 def _generated(n: int, d: int, seed: int, speed: float, t_end: float) -> str:
@@ -92,6 +104,54 @@ CASES = [
     ("diagnose_2c_alpha_quarter", "diagnose", _two_cluster(6, 1, 2, 0.25, 1.8)),
     # 8 x 24 = 192 coincident pairs in one chase column and one diagnose event
     ("diagnose_2c_wide", "diagnose", _two_cluster(32, 8, 2, 0.5, 0.6)),
+    # bounded weight with non-default K and beta: a head-on pass-through
+    ("bounded_pair", "simulate", BOUNDED_PAIR),
+]
+
+# (name, command, config text) of configs that parse_config must reject
+_TWO_ROWS = "n = 2\nd = 1\nalpha = 0.5\n"
+_INLINE = "[scenario]\n" + _TWO_ROWS + "x_1 = -0.5\nx_2 = 0.5\nv_1 = 1.0\nv_2 = -1.0\n"
+_TB = "[scenario]\nalpha = 0.5\n[twobody]\n"
+INVALID = [
+    ("unknown_section", "simulate", "[weird]\n"),
+    ("no_equals", "simulate", "[solver]\nrel_tol 1e-9\n"),
+    ("key_outside_section", "simulate", "rel_tol = 1e-9\n"),
+    ("duplicate_key", "simulate", "[solver]\nrel_tol = 1e-9\nrel_tol = 1e-8\n"),
+    ("empty_key", "simulate", "[solver]\n= 3\n"),
+    ("unknown_command", "explode", _INLINE),
+    ("unknown_key_scenario", "simulate", _INLINE + "colour = red\n"),
+    ("unknown_key_solver", "simulate", _INLINE + "[solver]\nrel_tolx = 1\n"),
+    ("unknown_key_twobody", "twobody", _TB + "phi0 = 1.0\ndphi0 = -1.0\nlevels = 3\n"),
+    ("unknown_key_converge", "converge", _INLINE + "[converge]\nn_list = 5 50\ncaps = 3\n"),
+    ("bad_number", "simulate", _INLINE + "[solver]\nrel_tol = fast\n"),
+    ("not_finite", "simulate", _INLINE + "[solver]\nt_end = inf\n"),
+    ("bad_integer", "simulate", _INLINE + "[solver]\nn_reg = 1e6\n"),
+    ("bad_solver_value", "simulate", _INLINE + "[solver]\nd_stick = -1e-6\n"),
+    ("bad_solver_integer", "simulate", _INLINE + "[solver]\nmax_segments = 0\n"),
+    ("bad_mode", "simulate", _INLINE + "mode = auto\n"),
+    ("bad_kernel", "simulate", _INLINE + "kernel = bounded\n"),
+    ("bad_alpha", "simulate", _INLINE.replace("alpha = 0.5", "alpha = 1.5")),
+    ("bad_K", "simulate", _INLINE + "kernel = cucker_smale\nK = -1\n"),
+    ("bad_beta", "simulate", _INLINE + "kernel = cucker_smale\nbeta = -3\n"),
+    ("rows_without_n", "simulate", "[scenario]\nalpha = 0.5\nx_1 = 0.0\n"),
+    ("missing_inline_row", "simulate", "[scenario]\n" + _TWO_ROWS + "x_1 = 0.0\nv_1 = 1.0\nv_2 = -1.0\n"),
+    ("row_width", "simulate", _INLINE.replace("x_1 = -0.5", "x_1 = -0.5 1.0")),
+    ("row_out_of_range", "simulate", _INLINE + "x_5 = 9.0\n"),
+    ("no_rows", "simulate", "[scenario]\n" + _TWO_ROWS),
+    ("missing_n", "simulate", "[scenario]\nd = 1\nalpha = 0.5\n"),
+    ("zero_particles", "simulate", "[scenario]\nn = 0\nd = 1\nalpha = 0.5\n"),
+    ("missing_alpha", "simulate", _INLINE.replace("alpha = 0.5\n", "")),
+    ("missing_seed", "simulate", "[scenario]\nmode = generate\n" + _TWO_ROWS),
+    ("bad_box", "simulate", "[scenario]\nmode = generate\nseed = 1\nbox = 0\n" + _TWO_ROWS),
+    ("bad_speed", "simulate", "[scenario]\nmode = generate\nseed = 1\nspeed = -1\n" + _TWO_ROWS),
+    ("missing_phi0", "twobody", _TB + "dphi0 = -1.0\n"),
+    ("bad_phi0", "twobody", _TB + "phi0 = -1.0\ndphi0 = -1.0\n"),
+    ("few_levels", "twobody", _TB + "phi0 = 1.0\ndphi0 = -1.0\nn_levels = 1\n"),
+    ("no_twobody_section", "twobody", "[scenario]\nalpha = 0.5\n"),
+    ("no_converge_section", "converge", _INLINE),
+    ("bad_n_list", "converge", _INLINE + "[converge]\nn_list = 50 5\n"),
+    ("bad_n_list_entry", "converge", _INLINE + "[converge]\nn_list = 5 lots\n"),
+    ("converge_bounded", "converge", _INLINE + "kernel = cucker_smale\n[converge]\nn_list = 5 50\n"),
 ]
 
 
@@ -106,6 +166,14 @@ def main(argv=None) -> int:
         code = run_command(parse_config(text, command, str(root / name)))
         print(f"{name:28s} {command:9s} exit {code}  {time.perf_counter() - t0:6.2f} s")
         failed += code != 0
+    lines = []
+    for name, command, text in INVALID:
+        try:
+            parse_config(text, command, str(root / "unused"))
+            lines.append(f"{name}: accepted")
+        except (ConfigError, ValidationError) as exc:
+            lines.append(f"{name}: {type(exc).__name__} key={getattr(exc, 'key', None)!r} {exc}")
+    (root / "errors.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return 1 if failed else 0
 
 
