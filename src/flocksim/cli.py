@@ -68,6 +68,7 @@ from .twobody import (
     NoCollision,
     StickFiniteTime,
     TwoBodyProblem,
+    _check_floor_rate,
     _check_phi0,
     bounded_weight_floor_check,
     classify,
@@ -331,6 +332,8 @@ def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out
             raise ValidationError("twobody needs a [twobody] section", key="phi0")
         if scenario.kernel == "singular" and scenario.alpha is None:
             raise ValidationError("required for the singular kernel", key="alpha")
+        if scenario.kernel == "cucker_smale":
+            _validated(None, _check_floor_rate, twobody.dphi0)
     return RunConfig(
         command=command,
         scenario=scenario,

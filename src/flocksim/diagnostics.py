@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import ClusterPartition, make_system
 from .errors import DomainError, InsufficientDataError
-from .integrator import STICKING, CollisionEvent, PiecewiseTrajectory, _fit_floor
+from .integrator import STICKING, CollisionEvent, PiecewiseTrajectory, _fit_floor, _working_kernel
 
 __all__ = [
     "FINITE",
@@ -181,7 +181,7 @@ def holder_exponent(
     x = traj.x[rows][:, idx, :]
     dx = x[:, None, :, :] - x[:, :, None, :]
     diam = np.sqrt(np.einsum("sijd,sijd->sij", dx, dx).max(axis=(1, 2)))
-    floor = _fit_floor(traj.final_state.kernel, traj.config)
+    floor = _fit_floor(_working_kernel(traj.final_state.kernel, traj.config)[0])
     prev_min = np.concatenate(([np.inf], np.minimum.accumulate(diam)[:-1]))
     keep = (diam < prev_min) & (dv_max > 0.0) & (diam > floor)
     if keep.sum() < _HOLDER_MIN_SAMPLES:

@@ -13,12 +13,15 @@ count individually in the sums of others, so a cluster of size m pulls
 with multiplicity m.  The 2/N coupling is chosen so that two particles
 obey the separation equation ``d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt``
 solved in closed form by the twobody module.  The kernel is evaluated only
-on the pairs of :meth:`ClusterPartition.inter_pairs`: their rows are
-gathered with ``np.take`` and subtracted in place, and the P weights are
-scattered into the flattened N x N matrix through the linear indices
-``i*N + j`` and ``j*N + i`` (:func:`pair_slots`, which a solver segment
-builds once for its fixed pair list), and the force reduction then reads
-that matrix.
+on the pairs of :meth:`ClusterPartition.inter_pairs`: their separations
+come from :func:`pair_norms`, and the P weights are scattered into the
+flattened N x N matrix through the linear indices ``i*N + j`` and
+``j*N + i`` (:func:`pair_slots`, which a solver segment builds once for its
+fixed pair list), and the force reduction then reads that matrix.
+
+A cluster is named by its smallest member, its root.  A cluster's rows
+coincide bitwise, so the pairs across two clusters share one gap, and the
+solver's event watch follows only :meth:`ClusterPartition.root_pairs`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularEvaluationError
-from .kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel, WeightKernel
+from .kernels import SingularKernel, WeightKernel, _check_kernel
 
 __all__ = [
     "ClusterPartition",
@@ -40,68 +43,57 @@ __all__ = [
 
 
 class ClusterPartition:
-    """Union-find over particle indices with path compression.
+    """Cluster label per particle index: its cluster's smallest index, the root.
 
-    Merging is monotone: clusters only ever grow.  ``labels`` returns the
-    canonical root of every index as an array; ``inter_pairs`` the pairs
-    the force and the event watch act on.
+    Merging is monotone: clusters only ever grow, and a union relabels the
+    cluster with the larger root.  ``inter_pairs`` are the pairs the force
+    acts on; ``root_pairs`` holds one of them per pair of clusters.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise DomainError(f"partition size must be >= 1, got {n}")
-        self._parent = list(range(n))
-        self._size = [1] * n
         self.n = n
-
-    def find(self, i: int) -> int:
-        parent = self._parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+        self._labels = np.arange(n, dtype=np.intp)
 
     def union(self, i: int, j: int) -> bool:
         """Join the clusters of ``i`` and ``j``; returns True if they were distinct."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
+        keep, drop = sorted((self._labels[i], self._labels[j]))
+        if keep == drop:
             return False
-        if self._size[ri] < self._size[rj]:
-            ri, rj = rj, ri
-        self._parent[rj] = ri
-        self._size[ri] += self._size[rj]
+        self._labels[self._labels == drop] = keep
         return True
 
-    def same(self, i: int, j: int) -> bool:
-        return self.find(i) == self.find(j)
-
     def labels(self) -> np.ndarray:
-        return np.array([self.find(i) for i in range(self.n)], dtype=np.intp)
+        return self._labels.copy()
 
     def inter_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays ``(i, j)``, ``i < j``, of the pairs in distinct
         clusters, in ``np.triu_indices`` order."""
-        labels = self.labels()
         iu, ju = np.triu_indices(self.n, k=1)
-        inter = labels[iu] != labels[ju]
+        inter = self._labels[iu] != self._labels[ju]
         return iu[inter], ju[inter]
 
+    def root_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs of cluster roots in ``np.triu_indices`` order: the first
+        :meth:`inter_pairs` entry of each pair of clusters."""
+        roots = np.flatnonzero(self._labels == np.arange(self.n))
+        iu, ju = np.triu_indices(roots.size, k=1)
+        return roots[iu], roots[ju]
+
     def groups(self) -> list[list[int]]:
-        by_root: dict[int, list[int]] = {}
-        for i in range(self.n):
-            by_root.setdefault(self.find(i), []).append(i)
-        return [by_root[r] for r in sorted(by_root)]
+        """Members of each cluster, in increasing order, ordered by root."""
+        order = np.argsort(self._labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self._labels[order])) + 1
+        return [g.tolist() for g in np.split(order, cuts)]
 
     @property
     def n_clusters(self) -> int:
-        return len({self.find(i) for i in range(self.n)})
+        return int(np.count_nonzero(self._labels == np.arange(self.n)))
 
     def copy(self) -> "ClusterPartition":
         out = ClusterPartition(self.n)
-        out._parent = list(self._parent)
-        out._size = list(self._size)
+        out._labels = self._labels.copy()
         return out
 
 
@@ -138,13 +130,12 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
         raise DomainError(f"need at least one particle and one dimension, got shape {x.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise DomainError("initial data must be finite")
-    if not isinstance(kernel, (SingularKernel, RegularizedKernel, CuckerSmaleKernel)):
-        raise DomainError(f"not a weight kernel: {kernel!r}")
+    _check_kernel(kernel)
 
     part = ClusterPartition(x.shape[0])
     same = (x[:, None] == x[None]).all(-1) & (v[:, None] == v[None]).all(-1)
-    for i, j in zip(*np.nonzero(np.triu(same, 1))):
-        part.union(int(i), int(j))
+    # equality is an equivalence: each row's first equal row is its class's smallest
+    part._labels = same.argmax(axis=1)
     return ParticleSystem(x, v, kernel, part)
 
 
@@ -155,6 +146,19 @@ def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pi * n + pj, pj * n + pi
 
 
+def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
+    """Norms ``|z[..., j, :] - z[..., i, :]|``, shape ``(..., P)``, over ``pairs``
+    of rows ``z`` shaped ``(..., N, d)``.  The differences are reduced as one
+    flat ``(M*P, d)`` array, so an entry rounds the same whatever ``M`` is."""
+    pi, pj = pairs
+    diff = np.take(z, pj, axis=-2)
+    diff -= np.take(z, pi, axis=-2)
+    flat = diff.reshape(-1, z.shape[-1])
+    out = np.einsum("pd,pd->p", flat, flat)
+    np.sqrt(out, out=out)
+    return out.reshape(diff.shape[:-1])
+
+
 def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots=None) -> np.ndarray:
     """Symmetric matrix of kernel weights on ``pairs`` (index arrays from
     :meth:`ClusterPartition.inter_pairs`), zero elsewhere.  ``slots`` are
@@ -163,13 +167,9 @@ def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots=None) -> np.n
     Raises :class:`SingularEvaluationError` if the singular kernel meets a
     zero separation on one of them.
     """
-    pi, pj = pairs
     n = x.shape[0]
     ij, ji = pair_slots(pairs, n) if slots is None else slots
-    diff = np.take(x, pj, axis=0)
-    diff -= np.take(x, pi, axis=0)
-    dist = np.einsum("pd,pd->p", diff, diff)
-    np.sqrt(dist, out=dist)
+    dist = pair_norms(x, pairs)
     if isinstance(kernel, SingularKernel) and np.any(dist == 0.0):
         raise SingularEvaluationError(
             "zero separation between distinct clusters under the singular weight"

@@ -4,28 +4,25 @@ The flow is smooth between close encounters, so :func:`solve_piecewise`
 runs one segment per encounter, each alternating two phases.  A main phase
 advances the system with an adaptive embedded Runge-Kutta stepper (max
 step capped at the sample spacing) while watching the distances of the
-pairs of distinct clusters (``ClusterPartition.inter_pairs``, the same
-pairs the force acts on) through a boolean mask of armed pairs (a pair
-inside ``d_stick`` at the segment start is disarmed until it climbs back
-out).  Each step's dense output is read once, as a block of subsample
-columns: the per-column armed masks, threshold hits and chase candidates
-of the whole block are found together, and only the columns with one are
-visited, in order.  A chase candidate is a pair that could dip below the
-threshold and climb back out between two columns; the pair speeds that
-decide it are computed only when a per-column bound on all of them (the
-norm of the per-axis velocity ranges) lets some pair travel that far.
-The searches for a dip of a column's chase candidates share one
-evaluation of their distances per distinct time, so the m*(N-m)
-equal-gap pairs of two colliding clusters cost one search's evaluations.
-The first time an armed pair dips below the sticking distance
-``d_stick`` the crossing is localized by bisection on the dense output
-and a probe phase takes over.
+pairs of cluster roots (``ClusterPartition.root_pairs``: a cluster's rows
+coincide bitwise, so each pair of clusters has one gap, that of its roots)
+through a boolean mask of armed pairs (a pair inside ``d_stick`` at the
+segment start is disarmed until it climbs back out).  Each step's dense
+output is read once, as a block of subsample columns: the per-column armed
+masks, threshold hits and chase candidates of the whole block are found
+together, and only the columns with one are visited, in order.  A chase
+candidate is a pair that could dip below the threshold and climb back out
+between two columns; the pair speeds that decide it are computed only
+when a per-column bound on all of them (the norm of the per-axis velocity
+ranges) lets some pair travel that far.  The first time an armed pair
+dips below the sticking distance ``d_stick`` the crossing is localized by
+bisection on the dense output and a probe phase takes over.
 
 The probe integrates through the encounter at full resolution.  Per step
-it grows the proximal group over the pair gaps it already holds (a
-cluster's rows coincide bitwise, so its members join through equal gaps)
-and records the group's diameter (largest pairwise distance) and velocity
-spread (largest pairwise speed).  It ends in one of four dispositions:
+it grows the proximal group over the root-pair gaps it already holds,
+expands the reached roots to their clusters, and records the group's
+diameter (largest pairwise distance) and velocity spread (largest pairwise
+speed).  It ends in one of four dispositions:
 
 * ``stick``   -- the group diameter and spread fell below the sticking
   thresholds and the collapse either went deep (diameter below
@@ -45,10 +42,11 @@ Sticking events merge the group to its mean state and integration
 continues; non-stick collisions continue from the post-encounter state
 without merging; a single surviving cluster drifts linearly to the end.
 
-The working kernel is always the regularized weight with the configured
-cap index, with the exponent taken from the system's kernel.  All
-stepping is deterministic, so identical configurations reproduce
-trajectories bitwise.
+The working kernel of a singular system is the regularized weight with
+the cap index ``n_reg`` and the system's exponent; a bounded kernel is
+integrated as it is.  The cap has that one setting, so a system built on
+a regularized kernel is rejected.  All stepping is deterministic, so
+identical configurations reproduce trajectories bitwise.
 """
 
 from __future__ import annotations
@@ -60,9 +58,9 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import RK45
 
-from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_slots
+from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_norms, pair_slots
 from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
-from .kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
+from .kernels import CuckerSmaleKernel, RegularizedKernel, _check_kernel
 
 __all__ = [
     "STICKING",
@@ -183,37 +181,43 @@ class PiecewiseTrajectory:
 
 def _working_kernel(kernel, config: SolverConfig):
     """The kernel actually integrated, and its exponent if it has one."""
-    if isinstance(kernel, (SingularKernel, RegularizedKernel)):
-        reg = RegularizedKernel(alpha=kernel.alpha, n=config.n_reg)
-        return reg, kernel.alpha
+    _check_kernel(kernel)
     if isinstance(kernel, CuckerSmaleKernel):
         return kernel, None
-    raise DomainError(f"not a weight kernel: {kernel!r}")
+    if isinstance(kernel, RegularizedKernel):
+        msg = f"the cap is n_reg, not the system's RegularizedKernel n={kernel.n}; use SingularKernel"
+        raise DomainError(msg, key="n_reg")
+    return RegularizedKernel(alpha=kernel.alpha, n=config.n_reg), kernel.alpha
 
 
-def _fit_floor(kernel, config: SolverConfig) -> float:
-    """Separation below which the working kernel departs from the singular law.
+def _fit_floor(work) -> float:
+    """Separation below which the working kernel ``work`` leaves the singular law.
 
     Collapse fits (the stick-time fit here, the Hölder fit in
     :mod:`flocksim.diagnostics`) use only separations above it.
     """
-    work, _ = _working_kernel(kernel, config)
     if isinstance(work, RegularizedKernel):
         return max(4.0 * work.bridge_end, 1e-12)
     return 1e-12
 
 
 class _Driver:
-    """Packed right-hand side and pair bookkeeping for a fixed partition."""
+    """Packed right-hand side over the inter-cluster pairs, and the watch
+    over the root pairs, for a fixed partition."""
 
     def __init__(self, system: ParticleSystem, config: SolverConfig):
         self.kernel, self.alpha = _working_kernel(system.kernel, config)
+        self.fit_floor = _fit_floor(self.kernel)
         self.n, self.d = system.x.shape
         self.nd = self.n * self.d
-        self.pairs = system.partition.inter_pairs()
-        self.pi, self.pj = self.pairs
+        part = system.partition
+        self.pairs = part.inter_pairs()
         self.slots = pair_slots(self.pairs, self.n)
-        self.fit_floor = _fit_floor(system.kernel, config)
+        self.labels = part.labels()
+        # all singletons: the root pairs are the pair list, shared to spare a
+        # second copy (2 MB of peak RSS over 120 runs of an N = 128 swarm)
+        self.watch = self.pairs if part.n_clusters == self.n else part.root_pairs()
+        self.pi, self.pj = self.watch
 
     @property
     def n_pairs(self) -> int:
@@ -232,15 +236,9 @@ class _Driver:
         )
 
     def _pair_norms(self, z: np.ndarray) -> np.ndarray:
-        """Pair norms |z_j - z_i| of ``(n*d,)`` rows, or one row per column of
-        ``(n*d, C)``; flat ``(C*P, d)`` differences round like one column."""
-        rows = np.ascontiguousarray(z.T).reshape(-1, self.n, self.d)
-        diff = np.take(rows, self.pj, axis=1)
-        diff -= np.take(rows, self.pi, axis=1)
-        diff = diff.reshape(-1, self.d)
-        out = np.einsum("pd,pd->p", diff, diff)
-        np.sqrt(out, out=out)
-        return out.reshape(z.shape[1:] + (self.n_pairs,))
+        """Watched pair norms of ``(n*d,)`` rows, or per column of ``(n*d, C)``."""
+        rows = np.ascontiguousarray(z.T).reshape(z.shape[1:] + (self.n, self.d))
+        return pair_norms(rows, self.watch)
 
     def pair_dists(self, y: np.ndarray) -> np.ndarray:
         return self._pair_norms(y[: self.nd])
@@ -257,9 +255,9 @@ class _Driver:
         return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
 
     def component(self, dists: np.ndarray, threshold: float) -> tuple[int, tuple[int, ...]]:
-        """The closest pair (index into the pair distances ``dists``) and the
-        particles reachable from it through pair gaps <= threshold.  A
-        cluster's rows coincide bitwise, so its members join together."""
+        """The closest watched pair (index into the root-pair distances
+        ``dists``) and the particles of the clusters whose roots are
+        reachable from it through root-pair gaps <= threshold."""
         close = dists <= threshold
         pi, pj = self.pi[close], self.pj[close]
         seed = int(np.argmin(dists))
@@ -270,7 +268,7 @@ class _Driver:
             size = reach.sum()
             link = reach[pi] | reach[pj]
             reach[pi[link]] = reach[pj[link]] = True
-        return seed, tuple(np.flatnonzero(reach).tolist())
+        return seed, tuple(np.flatnonzero(reach[self.labels]).tolist())
 
     def group_stats(self, y: np.ndarray, group) -> tuple[float, float]:
         """(diameter, velocity spread) over a particle group."""
@@ -552,26 +550,16 @@ def _run_segment(
                     tol,
                 )
                 break
-            # the chased pairs' searches share one pair_dists(dense(s)) per
-            # distinct time s of the column, kept for those pairs only:
-            # pairs with bitwise-equal gaps (coincident clusters) walk the
-            # same times, so m(N-m) of them cost one search's evaluations
-            chased = np.flatnonzero(chase[c])
-            shared: dict[float, np.ndarray] = {}
-            for k in range(chased.size):
+            for k in np.flatnonzero(chase[c]):
 
-                def gap(s, _k=k):
-                    g = shared.get(s)
-                    if g is None:
-                        g = shared[s] = driver.pair_dists(dense(s))[chased]
-                    return float(g[_k])
+                def gap(s):
+                    return float(driver.pair_dists(dense(s))[k])
 
                 t_m = _golden_min(gap, t_lo, t_col, tol)
                 if gap(t_m) <= d_stick:
                     t_c = _bisect_crossing(gap, d_stick, t_lo, t_m, tol)
                     if crossing_t is None or t_c < crossing_t:
                         crossing_t = t_c
-            shared.clear()
             if crossing_t is not None:
                 break
         armed = armed[-1]

@@ -147,14 +147,18 @@ class CuckerSmaleKernel:
 WeightKernel = Union[SingularKernel, RegularizedKernel, CuckerSmaleKernel]
 
 
+def _check_kernel(kernel) -> None:
+    if not isinstance(kernel, (SingularKernel, RegularizedKernel, CuckerSmaleKernel)):
+        raise DomainError(f"not a weight kernel: {kernel!r}")
+
+
 def eval_weight(kernel: WeightKernel, s):
     """Evaluate a weight kernel at separation(s) ``s``.
 
     Accepts a scalar or an array; negative or non-finite separations raise
     :class:`~flocksim.errors.DomainError`.
     """
-    if not isinstance(kernel, (SingularKernel, RegularizedKernel, CuckerSmaleKernel)):
-        raise DomainError(f"not a weight kernel: {kernel!r}")
+    _check_kernel(kernel)
     arr = np.asarray(s, dtype=float)
     _check_separation(arr)
     out = kernel.weight(arr)

@@ -195,6 +195,11 @@ class FloorCheckResult:
     ok: bool
 
 
+def _check_floor_rate(dphi0: float) -> None:
+    if dphi0 == 0.0:
+        raise DomainError("the speed floor needs a nonzero initial rate", key="dphi0")
+
+
 def bounded_weight_floor_check(
     phi0: float, dphi0: float, K: float, beta: float, t_end: float
 ) -> FloorCheckResult:
@@ -207,8 +212,7 @@ def bounded_weight_floor_check(
     check and is rejected.
     """
     _check_phi0(phi0)
-    if dphi0 == 0.0:
-        raise DomainError("the speed floor needs a nonzero initial rate")
+    _check_floor_rate(dphi0)
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     kernel = CuckerSmaleKernel(K=K, beta=beta)

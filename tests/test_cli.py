@@ -190,6 +190,13 @@ class TestParseErrors:
         assert "K must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bounded_floor_rate_error_key(self):
+        # a resting pair has no speed floor to check: rejected at parse time
+        text = "[scenario]\nkernel = cucker_smale\n[twobody]\nphi0 = 1.0\ndphi0 = 0.0\n"
+        with pytest.raises(ValidationError, match="nonzero initial rate") as exc_info:
+            parse_config(text, command="twobody")
+        assert exc_info.value.key == "dphi0"
+
     def test_inline_row_errors(self):
         base = "[scenario]\nn = 2\nd = 1\nalpha = 0.5\n"
         with pytest.raises(ValidationError, match="missing inline row"):

@@ -37,13 +37,12 @@ class TestClusterPartition:
     def test_initial_singletons(self):
         p = ClusterPartition(4)
         assert p.n_clusters == 4
-        assert not p.same(0, 3)
         np.testing.assert_array_equal(p.labels(), [0, 1, 2, 3])
 
     def test_union_merges(self):
         p = ClusterPartition(4)
-        assert p.union(0, 2)
-        assert p.same(0, 2)
+        assert p.union(2, 0)
+        np.testing.assert_array_equal(p.labels(), [0, 1, 0, 3])
         assert p.n_clusters == 3
         assert not p.union(2, 0)  # already joined
 
@@ -65,6 +64,41 @@ class TestClusterPartition:
         with pytest.raises(DomainError):
             ClusterPartition(0)
 
+    @given(n=st.integers(1, 12), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_union_sequences_match_reference(self, n, data):
+        # a plain union-find kept here is the reference: each label is the
+        # smallest member of its component, and the pair lists follow
+        index = st.integers(0, n - 1)
+        ops = data.draw(st.lists(st.tuples(index, index), max_size=2 * n))
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        p = ClusterPartition(n)
+        for i, j in ops:
+            ri, rj = find(i), find(j)
+            assert p.union(i, j) == (ri != rj)
+            parent[ri] = rj
+        comps: dict[int, list[int]] = {}
+        for i in range(n):
+            comps.setdefault(find(i), []).append(i)
+        np.testing.assert_array_equal(p.labels(), [comps[find(i)][0] for i in range(n)])
+        assert p.groups() == sorted(comps.values())
+        assert p.n_clusters == len(comps)
+        iu, ju = np.triu_indices(n, 1)
+        ref_inter = [(i, j) for i, j in zip(iu.tolist(), ju.tolist()) if find(i) != find(j)]
+        pi, pj = p.inter_pairs()
+        assert list(zip(pi.tolist(), pj.tolist())) == ref_inter
+        first: dict[frozenset, tuple[int, int]] = {}
+        for i, j in ref_inter:
+            first.setdefault(frozenset((find(i), find(j))), (i, j))
+        ri, rj = p.root_pairs()
+        assert list(zip(ri.tolist(), rj.tolist())) == list(first.values())
+
 
 class TestMakeSystem:
     def test_1d_column_shape(self):
@@ -76,14 +110,13 @@ class TestMakeSystem:
         x = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
         v = [[2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
         s = make_system(x, v, SingularKernel(alpha=0.5))
-        assert s.partition.same(0, 1)
-        assert not s.partition.same(0, 2)
+        np.testing.assert_array_equal(s.partition.labels(), [0, 0, 2])
 
     def test_coincident_position_distinct_velocity_stays_split(self):
         x = [[0.0], [0.0]]
         v = [[1.0], [2.0]]
         s = make_system(x, v, SingularKernel(alpha=0.5))
-        assert not s.partition.same(0, 1)
+        np.testing.assert_array_equal(s.partition.labels(), [0, 1])
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from flocksim import (
     CuckerSmaleKernel,
     DomainError,
     NON_STICK,
+    RegularizedKernel,
     STICKING,
     UNRESOLVED,
     SingularKernel,
@@ -256,6 +257,14 @@ class TestSegmentApi:
         with pytest.raises(ContinuationError):
             solve_piecewise(_two_body(2.5), SolverConfig(t_end=2.0, max_segments=1))
 
+    def test_regularized_system_names_n_reg(self):
+        # the solver's cap is n_reg alone; a system on a capped kernel would
+        # silently integrate at n_reg instead of its own cap
+        system = make_system([[-0.5], [0.5]], [[2.0], [-2.0]], RegularizedKernel(alpha=0.5, n=10))
+        with pytest.raises(DomainError, match="n_reg") as exc_info:
+            solve_piecewise(system, SolverConfig(t_end=1.0))
+        assert exc_info.value.key == "n_reg"
+
     def test_contact_start_is_disarmed(self):
         # distinct clusters at zero separation integrate under the capped
         # working weight and must not retrigger until they climb out
@@ -272,15 +281,15 @@ class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_rows_equal_single_columns(self, d):
         # a step's (n*d, _NSUB + 1) subsample block gives, bit for bit, the
-        # per-column distances and speeds; clusters {0, 3} and {2, 5} drop
-        # their inner pairs
+        # per-column distances and speeds; clusters {0, 3} and {2, 5} leave
+        # 5 clusters, and the watch holds one pair per pair of clusters
         n = 7
         rng = np.random.default_rng(d)
         x = rng.normal(size=(n, d))
         v = rng.normal(size=(n, d))
         x[3], v[3], x[5], v[5] = x[0], v[0], x[2], v[2]
         driver = _Driver(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig())
-        assert driver.n_pairs == n * (n - 1) // 2 - 2
+        assert driver.n_pairs == 10
         block = rng.normal(size=(2 * n * d, _NSUB + 1)) * 10.0 ** rng.integers(-6, 2, _NSUB + 1)
         for method in (driver.pair_dists, driver.pair_rel_speeds):
             rows = method(block)
@@ -346,7 +355,9 @@ class TestDriverBlocks:
                 if j not in reach:
                     reach.add(j)
                     frontier.append(j)
-        assert driver.component(dists, threshold) == (ref_seed, tuple(sorted(reach)))
+        seed, group = driver.component(dists, threshold)
+        assert (driver.pi[seed], driver.pj[seed]) == (iu[inter][ref_seed], ju[inter][ref_seed])
+        assert group == tuple(sorted(reach))
 
 
 class TestChase:
@@ -422,9 +433,10 @@ class TestChase:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chase_cost_does_not_grow_with_coincident_pairs(self, d, monkeypatch):
         # clusters of m and n - m coincident rows close critically: every
-        # one of the m(n-m) pairs across them has the same gap, so a chase
-        # column holds all of them and their searches share evaluations
+        # one of the m(n-m) pairs across them has the same gap, and the
+        # watch follows one of them, so the chase costs what a pair's does
         calls = {"searches": 0, "dists": 0}
+        searches = []
         golden = integrator._golden_min
         pair_dists = _Driver.pair_dists
 
@@ -457,8 +469,8 @@ class TestChase:
             traj = solve_piecewise(make_system(x, v, SingularKernel(alpha=alpha)), SolverConfig(t_end=0.6))
             assert [ev.kind for ev in traj.events] == [STICKING]
             assert abs(traj.events[0].t_event - stick_time(1.0, alpha)) < 1e-6
-            # every pair is still searched, but the evaluations of one
-            # golden section and bisection (about 80 at most) serve them
-            # all; evaluating per pair costs about 40 for each pair
-            assert calls["searches"] >= m * (n - m)
+            # one golden section and bisection take about 80 evaluations
+            searches.append(calls["searches"])
             assert calls["dists"] <= 100
+        # m(n-m) = 4 and 36 pairs cost the same searches
+        assert searches[0] == searches[1] >= 1

@@ -74,9 +74,20 @@ def _two_cluster(n: int, m: int, d: int, alpha: float, t_end: float, u=None) -> 
         u = 2.0 / (1.0 - alpha)  # critical closing speed from unit separation
     xa, xb = [-0.5 * c for c in e], [0.5 * c for c in e]
     va, vb = [0.5 * u * c for c in e], [-0.5 * u * c for c in e]
-    rows_x = [xa] * m + [xb] * (n - m)
-    rows_v = [va] * m + [vb] * (n - m)
-    lines = ["[scenario]", f"n = {n}", f"d = {d}", f"alpha = {alpha!r}"]
+    return _inline([xa] * m + [xb] * (n - m), [va] * m + [vb] * (n - m), alpha, t_end)
+
+
+def _three_cluster(u: float) -> str:
+    """1D clusters A = rows {1, 3, 6} and B = rows {0, 4} (0-based) closing
+    at speed u from unit separation, and C = rows {2, 5, 7} at x = 3
+    moving in at speed 1."""
+    member = [1, 0, 2, 0, 1, 2, 0, 2]  # cluster of each row: A 0, B 1, C 2
+    x0, v0 = [-0.5, 0.5, 3.0], [0.5 * u, -0.5 * u, -1.0]
+    return _inline([[x0[c]] for c in member], [[v0[c]] for c in member], 0.5, 1.5)
+
+
+def _inline(rows_x, rows_v, alpha: float, t_end: float) -> str:
+    lines = ["[scenario]", f"n = {len(rows_x)}", f"d = {len(rows_x[0])}", f"alpha = {alpha!r}"]
     lines += [f"x_{i} = " + " ".join(map(repr, r)) for i, r in enumerate(rows_x, 1)]
     lines += [f"v_{i} = " + " ".join(map(repr, r)) for i, r in enumerate(rows_v, 1)]
     lines += ["", "[solver]", f"t_end = {t_end!r}"]
@@ -106,6 +117,10 @@ CASES = [
     ("diagnose_2c_wide", "diagnose", _two_cluster(32, 8, 2, 0.5, 0.6)),
     # bounded weight with non-default K and beta: a head-on pass-through
     ("bounded_pair", "simulate", BOUNDED_PAIR),
+    # A and B stick near t = 0.735 (u found by bisection between a stall and
+    # a crossing); the merged cluster takes B's root 0 in place of A's root
+    # 1 and keeps pulling on C to the end
+    ("diagnose_3c", "diagnose", _three_cluster(2.9345703125)),
 ]
 
 # (name, command, config text) of configs that parse_config must reject
@@ -147,6 +162,7 @@ INVALID = [
     ("missing_phi0", "twobody", _TB + "dphi0 = -1.0\n"),
     ("bad_phi0", "twobody", _TB + "phi0 = -1.0\ndphi0 = -1.0\n"),
     ("few_levels", "twobody", _TB + "phi0 = 1.0\ndphi0 = -1.0\nn_levels = 1\n"),
+    ("bounded_rest", "twobody", "[scenario]\nkernel = cucker_smale\n[twobody]\nphi0 = 1.0\ndphi0 = 0.0\n"),
     ("no_twobody_section", "twobody", "[scenario]\nalpha = 0.5\n"),
     ("no_converge_section", "converge", _INLINE),
     ("bad_n_list", "converge", _INLINE + "[converge]\nn_list = 50 5\n"),
