@@ -311,30 +311,29 @@ def run_diagnostics(traj: PiecewiseTrajectory) -> DiagnosticsReport:
             continue
 
     # probe the pairs of each event's group that were in distinct clusters
-    # just before it; the partition follows the run's merges.  The test
-    # reads only the window end and the separation series, so the pairs of
-    # an event whose series are bitwise equal (rows of coincident clusters)
-    # share one result
+    # just before it; the partition follows the run's merges.  The rows of a
+    # cluster of the first sample coincide over the whole run, so the pairs
+    # of an event across two such clusters, named by their roots, have one
+    # separation series and one test.  The rows of a cluster merged later
+    # differ before the merge, so its members' pairs are tested apart
     integrability: list[IntegrabilityRecord] = []
     kernel = traj.final_state.kernel
     part = make_system(traj.x[0], traj.v[0], kernel).partition
+    roots = part.labels()
     for event in traj.events:
-        tested: dict[tuple[float, bytes], tuple[float, str]] = {}
+        tested: dict[tuple[int, int], tuple[float, str]] = {}
         pi, pj = part.inter_pairs()
         in_group = np.isin(pi, event.group) & np.isin(pj, event.group)
         for pair in zip(pi[in_group].tolist(), pj[in_group].tolist()):
-            try:
-                t_eff, ts, dist = _probe_window(traj, pair, event.t_event)
-            except (DomainError, InsufficientDataError):
-                integrability.append(IntegrabilityRecord(pair, math.nan, INCONCLUSIVE))
-                continue
-            key = (t_eff, dist.tobytes())
+            key = tuple(sorted((roots[pair[0]], roots[pair[1]])))
             if key not in tested:
-                tested[key] = _ratio_test(kernel, t_eff, ts, dist)
+                try:
+                    tested[key] = _ratio_test(kernel, *_probe_window(traj, pair, event.t_event))
+                except (DomainError, InsufficientDataError):
+                    tested[key] = (math.nan, INCONCLUSIVE)
             integrability.append(IntegrabilityRecord(pair, *tested[key]))
         if event.kind == STICKING:
-            for k in event.group[1:]:
-                part.union(event.group[0], k)
+            part.union(*event.group)
 
     return DiagnosticsReport(
         mean_velocity_drift=drift,

@@ -46,7 +46,7 @@ class ClusterPartition:
     """Cluster label per particle index: its cluster's smallest index, the root.
 
     Merging is monotone: clusters only ever grow, and a union relabels the
-    cluster with the larger root.  ``inter_pairs`` are the pairs the force
+    clusters with the larger roots.  ``inter_pairs`` are the pairs the force
     acts on; ``root_pairs`` holds one of them per pair of clusters.
     """
 
@@ -56,12 +56,13 @@ class ClusterPartition:
         self.n = n
         self._labels = np.arange(n, dtype=np.intp)
 
-    def union(self, i: int, j: int) -> bool:
-        """Join the clusters of ``i`` and ``j``; returns True if they were distinct."""
-        keep, drop = sorted((self._labels[i], self._labels[j]))
-        if keep == drop:
+    def union(self, *members: int) -> bool:
+        """Join the clusters of ``members`` into the one with the smallest
+        root; returns True if the members were in more than one cluster."""
+        roots = np.unique(self._labels[list(members)])
+        if roots.size < 2:
             return False
-        self._labels[self._labels == drop] = keep
+        self._labels[np.isin(self._labels, roots)] = roots[0]
         return True
 
     def labels(self) -> np.ndarray:
@@ -220,6 +221,5 @@ def merge_clusters(system: ParticleSystem, group) -> ParticleSystem:
     if not (np.all(out.x[sel] == out.x[idx[0]]) and np.all(out.v[sel] == out.v[idx[0]])):
         out.x[sel] = out.x[sel].mean(axis=0)
         out.v[sel] = out.v[sel].mean(axis=0)
-    for k in idx[1:]:
-        out.partition.union(idx[0], k)
+    out.partition.union(*idx)
     return out

@@ -9,20 +9,26 @@ coincide bitwise, so each pair of clusters has one gap, that of its roots)
 through a boolean mask of armed pairs (a pair inside ``d_stick`` at the
 segment start is disarmed until it climbs back out).  Each step's dense
 output is read once, as a block of subsample columns: the per-column armed
-masks, threshold hits and chase candidates of the whole block are found
-together, and only the columns with one are visited, in order.  A chase
-candidate is a pair that could dip below the threshold and climb back out
-between two columns; the pair speeds that decide it are computed only
-when a per-column bound on all of them (the norm of the per-axis velocity
-ranges) lets some pair travel that far.  The first time an armed pair
-dips below the sticking distance ``d_stick`` the crossing is localized by
-bisection on the dense output and a probe phase takes over.
+masks and crossing candidates of the whole block are found together, and
+only the columns with a candidate are visited, in order.  A candidate is
+an armed pair whose gap, less the travel it could manage in the
+subinterval, reaches the sticking distance ``d_stick``; the pair speeds
+that decide it are computed only when a per-column bound on all of them
+(the norm of the per-axis velocity ranges) lets some pair travel that
+far.  There is one crossing search, per candidate: a pair at or below
+``d_stick`` at the column (a threshold hit) is bisected on its gap over
+the subinterval, and any other is first searched for its closest approach
+by golden section, which brackets the crossing of one that dips below and
+climbs back out between columns.  The earliest crossing in the column
+wins, and a probe phase takes over there.
 
 The probe integrates through the encounter at full resolution.  Per step
-it grows the proximal group over the root-pair gaps it already holds,
-expands the reached roots to their clusters, and records the group's
-diameter (largest pairwise distance) and velocity spread (largest pairwise
-speed).  It ends in one of four dispositions:
+it grows the proximal group of cluster roots over the root-pair gaps it
+already holds, and takes the group's diameter (largest gap) and velocity
+spread (largest pair speed) over the root pairs inside it: a cluster's
+rows coincide, so these are the largest over all its members.  Only the
+event lists the member particles.  The probe builds the event itself and
+ends in one of four dispositions:
 
 * ``stick``   -- the group diameter and spread fell below the sticking
   thresholds and the collapse either went deep (diameter below
@@ -60,7 +66,9 @@ from scipy.integrate import RK45
 
 from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_norms, pair_slots
 from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
-from .kernels import CuckerSmaleKernel, RegularizedKernel, _check_cap, _check_kernel, _check_positive
+from .kernels import (
+    CuckerSmaleKernel, RegularizedKernel, _check_cap, _check_int, _check_kernel, _check_positive
+)
 from .twobody import stick_time
 
 __all__ = [
@@ -105,12 +113,7 @@ class SolverConfig:
         for name in ("rel_tol", "abs_tol", "d_stick", "v_stick", "t_end", "sample_dt"):
             _check_positive(getattr(self, name), name)
         object.__setattr__(self, "n_reg", _check_cap(self.n_reg, "n_reg"))
-        if int(self.max_segments) != self.max_segments or self.max_segments < 1:
-            raise DomainError(
-                f"max_segments must be an integer >= 1, got {self.max_segments!r}",
-                key="max_segments",
-            )
-        object.__setattr__(self, "max_segments", int(self.max_segments))
+        object.__setattr__(self, "max_segments", _check_int(self.max_segments, "max_segments", 1))
 
 
 @dataclass(frozen=True)
@@ -126,32 +129,6 @@ class CollisionEvent:
     kind: str
     rel_speed: float
     min_dist: float
-
-
-@dataclass
-class Encounter:
-    """Probe record handed to :func:`classify_event`.
-
-    ``t``, ``rel_speed`` and ``min_dist`` describe the group where the
-    disposition places the event: the threshold instant of a ``stick``, the
-    refined closest approach of a ``rebound``, and the last probe step of a
-    ``horizon`` or ``budget`` exit; ``min_dist`` is the smallest pair
-    distance there.  The next segment starts at ``t_probe_end``.  The monitor
-    rows, ``alpha``, ``fit_floor`` and ``n_particles`` feed
-    :func:`_stick_time_fit`.
-    """
-
-    disposition: str
-    group: tuple[int, ...]
-    t: float
-    rel_speed: float
-    min_dist: float
-    t_probe_end: float
-    monitor_t: np.ndarray
-    monitor_diam: np.ndarray
-    alpha: Optional[float]
-    fit_floor: float
-    n_particles: int
 
 
 @dataclass
@@ -251,10 +228,10 @@ class _Driver:
         span = v.max(axis=0) - v.min(axis=0)
         return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
 
-    def component(self, dists: np.ndarray, threshold: float) -> tuple[int, tuple[int, ...]]:
+    def component(self, dists: np.ndarray, threshold: float) -> tuple[int, np.ndarray]:
         """The closest watched pair (index into the root-pair distances
-        ``dists``) and the particles of the clusters whose roots are
-        reachable from it through root-pair gaps <= threshold."""
+        ``dists``) and the ``(n,)`` mask of the cluster roots reachable
+        from it through root-pair gaps <= threshold."""
         close = dists <= threshold
         pi, pj = self.pi[close], self.pj[close]
         seed = int(np.argmin(dists))
@@ -265,18 +242,21 @@ class _Driver:
             size = reach.sum()
             link = reach[pi] | reach[pj]
             reach[pi[link]] = reach[pj[link]] = True
-        return seed, tuple(np.flatnonzero(reach[self.labels]).tolist())
+        return seed, reach
 
-    def group_stats(self, y: np.ndarray, group) -> tuple[float, float]:
-        """(diameter, velocity spread) over a particle group."""
-        idx = np.asarray(group, dtype=np.intp)
-        x = y[: self.nd].reshape(self.n, self.d)[idx]
-        v = y[self.nd :].reshape(self.n, self.d)[idx]
-        dx = x[None, :, :] - x[:, None, :]
-        dv = v[None, :, :] - v[:, None, :]
-        diam = math.sqrt(float(np.einsum("ijd,ijd->ij", dx, dx).max()))
-        spread = math.sqrt(float(np.einsum("ijd,ijd->ij", dv, dv).max()))
-        return diam, spread
+    def members(self, roots: np.ndarray) -> tuple[int, ...]:
+        """The particles of the clusters whose roots the mask ``roots`` marks."""
+        return tuple(np.flatnonzero(roots[self.labels]).tolist())
+
+    def group_stats(self, y: np.ndarray, dists: np.ndarray, roots: np.ndarray) -> tuple[float, float]:
+        """(diameter, velocity spread) of the clusters whose roots the mask
+        ``roots`` marks: the largest root-pair gap ``dists`` and pair speed
+        among them.  A cluster's rows coincide, so these are the largest
+        over all their members."""
+        inside = roots[self.pi] & roots[self.pj]
+        v = y[self.nd :].reshape(self.n, self.d)
+        spread = pair_norms(v, (self.pi[inside], self.pj[inside])).max()
+        return float(dists[inside].max()), float(spread)
 
 
 class _SampleStore:
@@ -385,20 +365,21 @@ def _probe(
     span: float,
     config: SolverConfig,
     store: _SampleStore,
-) -> tuple[Encounter, np.ndarray]:
-    """Resolve the encounter that begins at the d_stick crossing."""
+) -> tuple[CollisionEvent, float, np.ndarray]:
+    """Resolve the encounter that begins at the d_stick crossing: its event,
+    and the time and state at which the probe stopped."""
     d_stick = config.d_stick
     v_stick = config.v_stick
     phi_deep = d_stick / _PHI_DEEP_FACTOR
 
     dists = driver.pair_dists(y_cross)
-    seed, group = driver.component(dists, d_stick * (1.0 + 1e-9))
+    seed, roots = driver.component(dists, d_stick * (1.0 + 1e-9))
     watch = np.zeros(driver.n_pairs, dtype=bool)
     watch[seed] = True
 
     solver = _stepper(driver, t_cross, y_cross, t_bound, config)
 
-    diam, spread = driver.group_stats(y_cross, group)
+    diam, spread = driver.group_stats(y_cross, dists, roots)
     mon_t = [t_cross]
     mon_diam = [diam]
 
@@ -432,17 +413,14 @@ def _probe(
 
         dists = driver.pair_dists(y_now)
         near = dists <= d_stick
-        if near.any():
-            # extend the watch to encounter-adjacent pairs
-            ing = np.zeros(driver.n, dtype=bool)
-            ing[list(group)] = True
-            watch |= near & (ing[driver.pi] | ing[driver.pj])
+        # extend the watch to encounter-adjacent pairs
+        watch |= near & (roots[driver.pi] | roots[driver.pj])
         if not near[watch].any():
             disposition = "rebound"
             break
 
-        _, group = driver.component(dists, d_stick)
-        diam, spread = driver.group_stats(y_now, group)
+        _, roots = driver.component(dists, d_stick)
+        diam, spread = driver.group_stats(y_now, dists, roots)
         mon_t.append(t_now)
         mon_diam.append(diam)
 
@@ -461,7 +439,8 @@ def _probe(
             break
 
     # the event sits at the last step, except a rebound's, which is refined
-    # to the closest approach inside its bracketing subinterval
+    # to the closest approach inside its bracketing subinterval; a
+    # collapse's time is the later of that step and the power-law fit
     t_event = t_cur
     min_dist = float(dists.min())
     if disposition == "rebound":
@@ -469,24 +448,16 @@ def _probe(
         t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s)).min(), best_lo, best_hi, tol)
         y_min = best_dense(t_event)
         dists = driver.pair_dists(y_min)
-        seed, group = driver.component(dists, d_stick)
+        seed, roots = driver.component(dists, d_stick)
         min_dist = float(dists[seed])
-        _, spread = driver.group_stats(y_min, group)
+        _, spread = driver.group_stats(y_min, dists, roots)
+    elif disposition == "stick":
+        t_fit = _stick_time_fit(mon_t, mon_diam, driver, config)
+        if t_fit is not None:
+            t_event = max(t_event, t_fit)
 
-    enc = Encounter(
-        disposition=disposition,
-        group=tuple(group),
-        t=float(t_event),
-        rel_speed=float(spread),
-        min_dist=min_dist,
-        t_probe_end=float(t_cur),
-        monitor_t=np.array(mon_t),
-        monitor_diam=np.array(mon_diam),
-        alpha=driver.alpha,
-        fit_floor=driver.fit_floor,
-        n_particles=driver.n,
-    )
-    return enc, np.array(y_cur, dtype=float)
+    event = classify_event(disposition, float(t_event), driver.members(roots), spread, min_dist, config)
+    return event, float(t_cur), np.array(y_cur, dtype=float)
 
 
 def _run_segment(
@@ -495,7 +466,7 @@ def _run_segment(
     t1: float,
     config: SolverConfig,
     store: _SampleStore,
-) -> tuple[float, ParticleSystem, Optional[Encounter]]:
+) -> tuple[float, ParticleSystem, Optional[CollisionEvent]]:
     driver = _Driver(system, config)
     y0 = np.concatenate([system.x.ravel(), system.v.ravel()])
     span = t1 - t0
@@ -508,20 +479,19 @@ def _run_segment(
     armed = driver.pair_dists(y0) > d_stick
     tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
 
-    t_end, y_end, enc = t1, y0, None
+    t_end, y_end, event = t1, y0, None
     steps = _steps(solver, f"below {_BISECT_TOL_FACTOR * span:.3e} while advancing the segment")
     for t_prev, t_now, y_now, dense in steps:
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         ys_sub = dense(ts_sub)
         dists = driver.pair_dists(ys_sub)
         # row c of the block masks describes the subinterval that ends at
-        # column c + 1: armed is the mask after that column, a threshold hit
-        # an armed pair at or below d_stick there
+        # column c + 1; armed is the mask after that column
         armed = armed | np.logical_or.accumulate(dists[1:] > d_stick, axis=0)
-        hit = (armed & (dists[1:] <= d_stick)).any(axis=1)
-        # a fast pair can dip below the threshold and climb back out
-        # between columns; chase any pair whose endpoint gap minus the
-        # travel it could manage in the subinterval reaches d_stick
+        # a candidate is an armed pair above d_stick at column c whose
+        # endpoint gap minus the travel it could manage in the subinterval
+        # reaches d_stick: one at or below it at column c + 1 (a threshold
+        # hit), or a fast pair that can dip below and climb back out
         reach = np.minimum(dists[:-1], dists[1:])
         dt_sub = np.diff(ts_sub)
         chase = armed & (dists[:-1] > d_stick)
@@ -534,29 +504,25 @@ def _run_segment(
             speeds = driver.pair_rel_speeds(ys_sub)
             reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
         chase &= reach <= d_stick
+        # per column with candidates, each one's crossing is bracketed: a
+        # hit's by the subinterval, a dip's up to its closest approach found
+        # by golden section; the earliest crossing in the column wins
         crossing_t = None
-        for c in np.flatnonzero(hit | chase.any(axis=1)):
+        for c in np.flatnonzero(chase.any(axis=1)):
             t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
-            if hit[c]:
-                mask = armed[c]
-                crossing_t = _bisect_crossing(
-                    lambda s: driver.pair_dists(dense(s)).min(initial=math.inf, where=mask),
-                    d_stick,
-                    t_lo,
-                    t_col,
-                    tol,
-                )
-                break
             for k in np.flatnonzero(chase[c]):
 
                 def gap(s):
                     return float(driver.pair_dists(dense(s))[k])
 
-                t_m = _golden_min(gap, t_lo, t_col, tol)
-                if gap(t_m) <= d_stick:
-                    t_c = _bisect_crossing(gap, d_stick, t_lo, t_m, tol)
-                    if crossing_t is None or t_c < crossing_t:
-                        crossing_t = t_c
+                t_in = t_col
+                if dists[c + 1, k] > d_stick:
+                    t_in = _golden_min(gap, t_lo, t_col, tol)
+                    if gap(t_in) > d_stick:
+                        continue
+                t_c = _bisect_crossing(gap, d_stick, t_lo, t_in, tol)
+                if crossing_t is None or t_c < crossing_t:
+                    crossing_t = t_c
             if crossing_t is not None:
                 break
         armed = armed[-1]
@@ -565,15 +531,14 @@ def _run_segment(
             y_cross = dense(crossing_t)
             store.emit_grid_range(dense, t_prev, crossing_t)
             store.emit(crossing_t, y_cross)
-            enc, y_end = _probe(driver, crossing_t, y_cross, t1, span, config, store)
-            t_end = enc.t_probe_end
+            event, t_end, y_end = _probe(driver, crossing_t, y_cross, t1, span, config, store)
             break
         store.emit_grid_range(dense, t_prev, t_now)
         y_end = y_now
     else:
         store.emit(t1, y_end)
 
-    return t_end, ParticleSystem(*driver.unpack(y_end), system.kernel, system.partition.copy()), enc
+    return t_end, ParticleSystem(*driver.unpack(y_end), system.kernel, system.partition.copy()), event
 
 
 def _drift(store: _SampleStore, system: ParticleSystem, t0: float, t1: float) -> ParticleSystem:
@@ -592,20 +557,22 @@ def _drift(store: _SampleStore, system: ParticleSystem, t0: float, t1: float) ->
     return out
 
 
-def _stick_time_fit(enc: Encounter, config: SolverConfig) -> Optional[float]:
-    """Collapse-time estimate from the approach monitor rows.
+def _stick_time_fit(mon_t, mon_diam, driver: _Driver, config: SolverConfig) -> Optional[float]:
+    """Collapse-time estimate from the probe's monitor rows ``mon_t``, ``mon_diam``.
 
     Fits ``t = t0 - C * diam**alpha`` over the strictly decreasing monitor
     rows between the working-kernel cap region and ``d_stick``; the
     intercept estimates the instant of collapse.  Returns None when the
-    window is too thin or the power law does not hold.
+    kernel has no exponent, the window is too thin or the power law does
+    not hold.
     """
-    if enc.alpha is None:
+    alpha = driver.alpha
+    if alpha is None:
         return None
     ts, diams = [], []
     last = math.inf
-    for t, diam in zip(enc.monitor_t, enc.monitor_diam):
-        if enc.fit_floor <= diam <= config.d_stick and diam < last:
+    for t, diam in zip(mon_t, mon_diam):
+        if driver.fit_floor <= diam <= config.d_stick and diam < last:
             ts.append(t)
             diams.append(diam)
             last = diam
@@ -613,7 +580,7 @@ def _stick_time_fit(enc: Encounter, config: SolverConfig) -> Optional[float]:
         return None
     ts = np.array(ts)
     diams = np.array(diams)
-    u = diams**enc.alpha
+    u = diams**alpha
     design = np.column_stack([np.ones_like(u), u])
     coef, *_ = np.linalg.lstsq(design, ts, rcond=None)
     t0_hat = float(coef[0])
@@ -625,38 +592,32 @@ def _stick_time_fit(enc: Encounter, config: SolverConfig) -> Optional[float]:
     span = float(ts[-1] - ts[0])
     if rms > max(_FIT_RESIDUAL_FRAC * span, 1e-12):
         return None
-    remaining_cap = stick_time(float(diams[-1]), enc.alpha) * 2.0 * enc.n_particles
+    remaining_cap = stick_time(float(diams[-1]), alpha) * 2.0 * driver.n
     if t0_hat < ts[-1] - 1e-9 * max(1.0, abs(ts[-1])) or t0_hat > ts[-1] + remaining_cap:
         return None
     return t0_hat
 
 
-def classify_event(encounter: Encounter, config: SolverConfig) -> CollisionEvent:
-    """Turn a probe record into a typed event.
+def classify_event(
+    disposition: str,
+    t_event: float,
+    group: tuple[int, ...],
+    rel_speed: float,
+    min_dist: float,
+    config: SolverConfig,
+) -> CollisionEvent:
+    """The typed event of a probe's disposition.
 
-    A resolved encounter (a collapse certified by the thresholds, or a
-    rebound) is a sticking when its spread is below ``v_stick`` and a
-    non-stick collision otherwise; anything else is unresolved.  A
-    collapse's time is the later of the threshold instant and the
-    power-law fit.
+    A resolved encounter (a ``stick`` collapse certified by the
+    thresholds, or a ``rebound``) is a sticking when its spread
+    ``rel_speed`` is below ``v_stick`` and a non-stick collision
+    otherwise; a ``horizon`` or ``budget`` exit is unresolved.
     """
-    enc = encounter
-    if enc.disposition in ("stick", "rebound"):
-        kind = STICKING if enc.rel_speed < config.v_stick else NON_STICK
+    if disposition in ("stick", "rebound"):
+        kind = STICKING if rel_speed < config.v_stick else NON_STICK
     else:
         kind = UNRESOLVED
-    t_event = enc.t
-    if enc.disposition == "stick":
-        t_fit = _stick_time_fit(enc, config)
-        if t_fit is not None:
-            t_event = max(t_event, t_fit)
-    return CollisionEvent(
-        t_event=t_event,
-        group=enc.group,
-        kind=kind,
-        rel_speed=enc.rel_speed,
-        min_dist=enc.min_dist,
-    )
+    return CollisionEvent(t_event, group, kind, rel_speed, min_dist)
 
 
 def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTrajectory:
@@ -687,12 +648,11 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
                 f"exceeded max_segments={config.max_segments} before reaching t_end"
             )
         segments_used += 1
-        t_term, state, enc = _run_segment(sys_cur, t, t_end, config, store)
+        t_term, state, event = _run_segment(sys_cur, t, t_end, config, store)
         sys_cur = state
-        if enc is None:
+        if event is None:
             t = t_term
             continue
-        event = classify_event(enc, config)
         t_floor = events[-1].t_event + eps_t if events else 0.0
         t_clamped = min(max(event.t_event, t_floor), t_end)
         if t_clamped != event.t_event:

@@ -19,6 +19,8 @@ to the two-body analysis in :mod:`flocksim.twobody`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,11 +47,17 @@ def _check_positive(value, key: str) -> None:
         raise DomainError(f"{key} must be positive and finite, got {value!r}", key=key)
 
 
+def _check_int(n, key: str, least: int) -> int:
+    """An integer ``n`` of at least ``least``, as an int; a value that is
+    not a finite real number is rejected before any conversion."""
+    if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= least):
+        raise DomainError(f"{key} must be an integer >= {least}, got {n!r}", key=key)
+    return int(n)
+
+
 def _check_cap(n, key: str) -> int:
     """A cap index ``n``, an integer of at least 2, as an int."""
-    if int(n) != n or n < 2:
-        raise DomainError(f"{key} must be an integer >= 2, got {n!r}", key=key)
-    return int(n)
+    return _check_int(n, key, 2)
 
 
 def _check_separation(s: np.ndarray) -> None:

@@ -227,12 +227,22 @@ class TestParseErrors:
             (lambda: _check_n_list([10.5, 100]), "n_list", 10.5, None),
             (lambda: _check_n_list(["10", "100"]), "n_list", "10", None),
             (lambda: SolverConfig(n_reg=10.5), "n_reg", 10.5, None),
+            (lambda: SolverConfig(n_reg=math.inf), "n_reg", math.inf, None),
             (lambda: RegularizedKernel(alpha=0.5, n=1), "n", 1, None),
+            (lambda: RegularizedKernel(alpha=0.5, n=math.nan), "n", math.nan, None),
+            (lambda: _check_n_list([None, 100]), "n_list", None, None),
         ],
-        ids=["n_list", "n_list_fraction", "n_list_text", "n_reg_fraction", "kernel_n"],
+        ids=["n_list", "n_list_fraction", "n_list_text", "n_reg_fraction", "n_reg_inf",
+             "kernel_n", "kernel_n_nan", "n_list_none"],
     )
     def test_cap_index_rule(self, library_call, key, value, cli):
         _assert_one_rule(f"must be an integer >= 2, got {value!r}", library_call, key, cli)
+
+    @pytest.mark.parametrize("value", [0, 2.5, math.inf, math.nan, None])
+    def test_segment_budget_rule(self, value):
+        cli = ("simulate", SIM_TEXT + "max_segments = 0\n") if value == 0 else None
+        _assert_one_rule(f"must be an integer >= 1, got {value!r}",
+                         lambda: SolverConfig(max_segments=value), "max_segments", cli)
 
     @pytest.mark.parametrize(
         "library_call,key,cli",

@@ -17,6 +17,8 @@ from flocksim import (
     DIVERGENT,
     FINITE,
     INCONCLUSIVE,
+    NON_STICK,
+    STICKING,
     DomainError,
     InsufficientDataError,
     IntegrabilityRecord,
@@ -260,3 +262,27 @@ class TestRunDiagnostics:
         assert report.integrability == [
             integrability_probe(traj, r.pair, t_event) for r in report.integrability
         ]
+
+        # three clusters of two rows: A {0, 1} and B {2, 3} stick (B's speed
+        # is tuned to A's critical approach under C's pull), then C {4, 5}
+        # crosses the merged pair.  Each event runs one test per pair of
+        # starting clusters among its pairs: A-B, then A-C and B-C, whose
+        # series differ before A and B merged
+        tests.clear()
+        x = np.repeat([-0.5, 0.5, 20.0], 2)[:, None]
+        v = np.repeat([2.0, -0.8164, -20.0], 2)[:, None]
+        traj = solve_piecewise(make_system(x, v, SingularKernel(alpha=alpha)), SolverConfig(t_end=2.5))
+        assert [(e.kind, e.group) for e in traj.events] == [
+            (STICKING, (0, 1, 2, 3)), (NON_STICK, tuple(range(6)))
+        ]
+        report = run_diagnostics(traj)
+        t1, t2 = (e.t_event for e in traj.events)
+        assert [args[1] for args in tests] == [t1, t2, t2]
+        assert [r.pair for r in report.integrability] == [
+            (0, 2), (0, 3), (1, 2), (1, 3),
+            (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5),
+        ]
+        assert report.integrability == [
+            integrability_probe(traj, r.pair, t) for r, t in zip(report.integrability, [t1] * 4 + [t2] * 8)
+        ]
+        assert report.integrability[4].estimate != report.integrability[8].estimate

@@ -67,10 +67,11 @@ class TestClusterPartition:
     @given(n=st.integers(1, 12), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_union_sequences_match_reference(self, n, data):
-        # a plain union-find kept here is the reference: each label is the
-        # smallest member of its component, and the pair lists follow
+        # a plain union-find kept here is the reference, merging each member
+        # list pair by pair: each label is the smallest member of its
+        # component, and the pair lists follow
         index = st.integers(0, n - 1)
-        ops = data.draw(st.lists(st.tuples(index, index), max_size=2 * n))
+        ops = data.draw(st.lists(st.lists(index, min_size=1, max_size=n), max_size=2 * n))
         parent = list(range(n))
 
         def find(i):
@@ -79,10 +80,11 @@ class TestClusterPartition:
             return i
 
         p = ClusterPartition(n)
-        for i, j in ops:
-            ri, rj = find(i), find(j)
-            assert p.union(i, j) == (ri != rj)
-            parent[ri] = rj
+        for members in ops:
+            distinct = len({find(i) for i in members}) > 1
+            assert p.union(*members) == distinct
+            for j in members[1:]:
+                parent[find(members[0])] = find(j)
         comps: dict[int, list[int]] = {}
         for i in range(n):
             comps.setdefault(find(i), []).append(i)

@@ -6,7 +6,9 @@ closing at the critical rate from separation 1 sticks at
 orbit by kappa = (1 + 2**(1-alpha))/3.
 """
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +279,25 @@ class TestSegmentApi:
         assert gap > 1e-6
 
 
+class TestBenchmarkTracer:
+    def test_tracer_counts_the_readme_pair(self):
+        # the benchmark's per-layer split wraps the solver's entry points
+        # from outside the package, so a renamed or bypassed layer drops out
+        # of its counts; the README's critical pair passes each layer once
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        classify_event = integrator.classify_event
+        with spans.Tracer() as tracer:
+            traj = integrator.solve_piecewise(_two_body(2.0), SolverConfig(t_end=0.7))
+        assert integrator.classify_event is classify_event
+        assert [e.kind for e in traj.events] == [STICKING]
+        keys = ("events", "events.Sticking", "stick_fit.calls", "stick_fit.hits", "probe.calls", "segments")
+        assert {k: tracer.counts[k] for k in keys} == dict.fromkeys(keys, 1)
+        assert tracer.counts["rhs.main"] > 0 and tracer.counts["rhs.probe"] > 0
+
+
 class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_rows_equal_single_columns(self, d):
@@ -333,14 +354,16 @@ class TestDriverBlocks:
     def test_component_matches_dense_reachability(self, seed, n, d, n_clusters, data):
         # clusters are coincident rows, so equal gaps tie both the closest
         # pair and thresholds drawn from the gaps; the reference grows the
-        # group over the dense N x N separations, same-cluster zeros included
+        # group over the dense N x N separations, same-cluster zeros included,
+        # and takes its diameter and spread over all its member pairs
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, n_clusters, n)
         assume(len(set(labels.tolist())) > 1)
         x = rng.normal(size=(n_clusters, d))[labels] * 10.0 ** rng.integers(-4, 2)
         v = rng.normal(size=(n_clusters, d))[labels]
         driver = _Driver(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig())
-        dists = driver.pair_dists(np.concatenate([x.ravel(), v.ravel()]))
+        y = np.concatenate([x.ravel(), v.ravel()])
+        dists = driver.pair_dists(y)
         threshold = data.draw(st.sampled_from(dists.tolist()))
 
         diff = x[None, :, :] - x[:, None, :]
@@ -355,9 +378,16 @@ class TestDriverBlocks:
                 if j not in reach:
                     reach.add(j)
                     frontier.append(j)
-        seed, group = driver.component(dists, threshold)
+        seed, roots = driver.component(dists, threshold)
         assert (driver.pi[seed], driver.pj[seed]) == (iu[inter][ref_seed], ju[inter][ref_seed])
-        assert group == tuple(sorted(reach))
+        assert driver.members(roots) == tuple(sorted(reach))
+
+        idx = np.array(sorted(reach))
+        dx = x[idx][None, :, :] - x[idx][:, None, :]
+        dv = v[idx][None, :, :] - v[idx][:, None, :]
+        ref_diam = np.sqrt(np.einsum("ijd,ijd->ij", dx, dx).max())
+        ref_spread = np.sqrt(np.einsum("ijd,ijd->ij", dv, dv).max())
+        assert driver.group_stats(y, dists, roots) == (ref_diam, ref_spread)
 
 
 class TestChase:
