@@ -19,21 +19,12 @@ from .diagnostics import (
     IntegrabilityRecord,
     conservation_residual,
     dissipation_check,
-    divergent_components,
     holder_exponent,
     integrability_probe,
     ordered_sums_check,
     run_diagnostics,
 )
-from .dynamics import (
-    ClusterPartition,
-    ParticleSystem,
-    acceleration,
-    acceleration_arrays,
-    make_system,
-    merge_clusters,
-    pair_weights,
-)
+from .dynamics import ClusterPartition, ParticleSystem, make_system, merge_clusters
 from .errors import (
     ConfigError,
     ContinuationError,
@@ -54,12 +45,7 @@ from .integrator import (
     SolverConfig,
     solve_piecewise,
 )
-from .kernels import (
-    CuckerSmaleKernel,
-    RegularizedKernel,
-    SingularKernel,
-    eval_weight,
-)
+from .kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
 from .twobody import (
     CollideNonstick,
     FloorCheckResult,
@@ -71,7 +57,6 @@ from .twobody import (
     classify,
     critical_velocity,
     level_time_bound_check,
-    phi_critical,
     stick_time,
 )
 
@@ -82,13 +67,9 @@ __all__ = [
     "SingularKernel",
     "RegularizedKernel",
     "CuckerSmaleKernel",
-    "eval_weight",
     "ClusterPartition",
     "ParticleSystem",
     "make_system",
-    "pair_weights",
-    "acceleration",
-    "acceleration_arrays",
     "merge_clusters",
     "TwoBodyProblem",
     "StickFiniteTime",
@@ -96,7 +77,6 @@ __all__ = [
     "NoCollision",
     "critical_velocity",
     "stick_time",
-    "phi_critical",
     "classify",
     "LevelGapRecord",
     "level_time_bound_check",
@@ -118,7 +98,6 @@ __all__ = [
     "ordered_sums_check",
     "holder_exponent",
     "integrability_probe",
-    "divergent_components",
     "run_diagnostics",
     "FINITE",
     "DIVERGENT",

@@ -64,14 +64,13 @@ from .errors import (
     ValidationError,
 )
 from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
-from .kernels import CuckerSmaleKernel, SingularKernel, _check_alpha, _check_positive
+from .kernels import CuckerSmaleKernel, SingularKernel, _check_alpha, _check_int, _check_positive
 from .twobody import (
     CollideNonstick,
     NoCollision,
     StickFiniteTime,
     TwoBodyProblem,
     _check_floor_rate,
-    _check_levels,
     bounded_weight_floor_check,
     classify,
     critical_velocity,
@@ -117,19 +116,19 @@ class SplitMix64:
                 return comps
 
 
-def _check_scenario_size(n: int, d: int, box: float, speed: float) -> None:
-    for key, count in (("n", n), ("d", d)):
-        if count < 1:
-            raise DomainError(f"{key} must be at least 1, got {count!r}", key=key)
+def _check_scenario_size(n: int, d: int, box: float, speed: float) -> tuple[int, int]:
+    """The particle count and dimension, as ints, of a valid scenario size."""
+    n, d = _check_int(n, "n", 1), _check_int(d, "d", 1)
     _check_positive(box, "box")
     _check_positive(speed, "speed")
+    return n, d
 
 
 def generate_scenario(
     n: int, d: int, seed: int, box: float, speed: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded random initial data: box-uniform positions, ball velocities."""
-    _check_scenario_size(n, d, box, speed)
+    n, d = _check_scenario_size(n, d, box, speed)
     rng = SplitMix64(seed)
     x = np.empty((n, d))
     v = np.empty((n, d))
@@ -272,7 +271,7 @@ def _build_scenario(raw: dict[str, str]) -> ScenarioConfig:
     scalars = {key: value for key, value in raw.items() if key not in rows}
     sc = ScenarioConfig(**_parse_section("scenario", scalars))
     if sc.alpha is not None:
-        _validated("alpha", _check_alpha, sc.alpha)
+        _validated(None, _check_alpha, sc.alpha)
     if sc.kernel == "cucker_smale":
         _validated(None, CuckerSmaleKernel, K=sc.K, beta=sc.beta)
 
@@ -309,7 +308,7 @@ def _build_twobody(raw: dict[str, str]) -> TwoBodyConfig:
             raise ValidationError("required for the separation problem", key=key)
     tb = TwoBodyConfig(**values)
     _validated("phi0", _check_positive, tb.phi0, "phi0")
-    _validated("n_levels", _check_levels, tb.n_levels, "n_levels")
+    _validated("n_levels", _check_int, tb.n_levels, "n_levels", 2)
     return tb
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import make_system
 from .errors import DomainError
 from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
-from .kernels import SingularKernel, _check_cap
+from .kernels import SingularKernel, _check_int
 
 __all__ = ["ConvergenceReport", "run_family", "cauchy_table"]
 
@@ -43,7 +43,7 @@ class ConvergenceReport:
 
 
 def _check_n_list(n_list) -> tuple[int, ...]:
-    out = tuple(_check_cap(n, "n_list") for n in n_list)
+    out = tuple(_check_int(n, "n_list", 2) for n in n_list)
     if len(out) < 2:
         raise DomainError(f"n_list must hold at least two cap indices, got {out}", key="n_list")
     if any(b <= a for a, b in zip(out, out[1:])):

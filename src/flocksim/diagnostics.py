@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ClusterPartition, make_system
+from .dynamics import make_system
 from .errors import DomainError, InsufficientDataError
 from .integrator import STICKING, CollisionEvent, PiecewiseTrajectory, _fit_floor, _working_kernel
 
@@ -41,7 +41,6 @@ __all__ = [
     "ordered_sums_check",
     "holder_exponent",
     "integrability_probe",
-    "divergent_components",
     "run_diagnostics",
 ]
 
@@ -52,6 +51,7 @@ INCONCLUSIVE = "Inconclusive"
 _RATIO_THRESHOLD = 0.9
 _MIN_WINDOW_SAMPLES = 3
 _HOLDER_MIN_SAMPLES = 10
+_HOLDER_WINDOW_FRAC = 0.1
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -89,9 +89,9 @@ class DiagnosticsReport:
     integrability: list[IntegrabilityRecord]
 
 
-def _require_samples(traj: PiecewiseTrajectory, least: int = 2) -> None:
-    if len(traj.t) < least:
-        raise InsufficientDataError(f"need at least {least} samples, have {len(traj.t)}")
+def _require_samples(traj: PiecewiseTrajectory) -> None:
+    if len(traj.t) < 2:
+        raise InsufficientDataError(f"need at least 2 samples, have {len(traj.t)}")
 
 
 def conservation_residual(traj: PiecewiseTrajectory) -> float:
@@ -149,14 +149,12 @@ def ordered_sums_check(traj: PiecewiseTrajectory) -> float:
     return max(worst, 0.0)
 
 
-def holder_exponent(
-    traj: PiecewiseTrajectory, event: CollisionEvent, window_frac: float = 0.1
-) -> HolderFit:
+def holder_exponent(traj: PiecewiseTrajectory, event: CollisionEvent) -> HolderFit:
     """Regularity exponent of the velocity at a sticking collapse.
 
     Least-squares slope of ``log max_i |v_i(t) - v_ref|`` against the log
     of the group's largest pairwise separation, over the window
-    ``[t_event*(1 - window_frac), t_event)``; ``v_ref`` is the group's mean
+    ``[0.9 t_event, t_event)``; ``v_ref`` is the group's mean
     velocity at the window's last row.  Only rows that strictly
     shrink the running minimum separation are fitted: the scaling law is
     an approach law, and rows after the closest approach (a pass through
@@ -167,7 +165,7 @@ def holder_exponent(
     if event.kind != STICKING:
         raise DomainError(f"exponent fit needs a sticking event, got {event.kind}")
     t_event = event.t_event
-    w = window_frac * t_event
+    w = _HOLDER_WINDOW_FRAC * t_event
     rows = np.nonzero((traj.t >= t_event - w) & (traj.t < t_event))[0]
     if len(rows) < _HOLDER_MIN_SAMPLES:
         raise InsufficientDataError(
@@ -274,24 +272,15 @@ def integrability_probe(
     the upper end: ratios pinned near 1 mean a harmonic, divergent tail;
     ratios bounded away below mean geometric decay, hence a finite
     integral.  The last two resolvable ratios decide.
+
+    :func:`run_diagnostics` runs the same test once per pair of starting
+    clusters; this entry point tests one given pair up to a given time.
+    It stays public because acceptance check 7 classifies pairs with it,
+    and the ``run_diagnostics`` record tests compare against it.
     """
     t_eff, ts, dist = _probe_window(traj, pair, t_upper)
     estimate, cls = _ratio_test(traj.final_state.kernel, t_eff, ts, dist)
     return IntegrabilityRecord((int(pair[0]), int(pair[1])), estimate, cls)
-
-
-def divergent_components(records: list[IntegrabilityRecord], n: int) -> list[tuple[int, ...]]:
-    """Connected components of the graph of Divergent pairs, ordered by
-    their smallest member.
-
-    Inconclusive edges are left out, so the grouping is conservative:
-    it only asserts togetherness the ratio test actually certified.
-    """
-    part = ClusterPartition(n)
-    for rec in records:
-        if rec.classification == DIVERGENT:
-            part.union(*rec.pair)
-    return sorted(tuple(g) for g in part.groups())
 
 
 def run_diagnostics(traj: PiecewiseTrajectory) -> DiagnosticsReport:

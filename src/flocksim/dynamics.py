@@ -37,7 +37,8 @@ __all__ = [
     "ClusterPartition",
     "ParticleSystem",
     "make_system",
-    "acceleration",
+    "pair_weights",
+    "acceleration_arrays",
     "merge_clusters",
 ]
 
@@ -82,12 +83,6 @@ class ClusterPartition:
         iu, ju = np.triu_indices(roots.size, k=1)
         return roots[iu], roots[ju]
 
-    def groups(self) -> list[list[int]]:
-        """Members of each cluster, in increasing order, ordered by root."""
-        order = np.argsort(self._labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(self._labels[order])) + 1
-        return [g.tolist() for g in np.split(order, cuts)]
-
     @property
     def n_clusters(self) -> int:
         return int(np.count_nonzero(self._labels == np.arange(self.n)))
@@ -108,10 +103,6 @@ class ParticleSystem:
     @property
     def n_particles(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
     def copy(self) -> "ParticleSystem":
         return ParticleSystem(self.x.copy(), self.v.copy(), self.kernel, self.partition.copy())
@@ -160,16 +151,16 @@ def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
     return out.reshape(diff.shape[:-1])
 
 
-def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots=None) -> np.ndarray:
+def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots) -> np.ndarray:
     """Symmetric matrix of kernel weights on ``pairs`` (index arrays from
-    :meth:`ClusterPartition.inter_pairs`), zero elsewhere.  ``slots`` are
-    the pairs' :func:`pair_slots`, built here when not given.
+    :meth:`ClusterPartition.inter_pairs`), zero elsewhere; ``slots`` are
+    the pairs' :func:`pair_slots`.
 
     Raises :class:`SingularEvaluationError` if the singular kernel meets a
     zero separation on one of them.
     """
     n = x.shape[0]
-    ij, ji = pair_slots(pairs, n) if slots is None else slots
+    ij, ji = slots
     dist = pair_norms(x, pairs)
     if isinstance(kernel, SingularKernel) and np.any(dist == 0.0):
         raise SingularEvaluationError(
@@ -181,9 +172,14 @@ def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots=None) -> np.n
 
 
 def acceleration_arrays(
-    x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel, slots=None
+    x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel, slots
 ) -> np.ndarray:
-    """Force rows for raw arrays; the hot path behind :func:`acceleration`."""
+    """Alignment acceleration, one row per particle, from the weights on
+    ``pairs`` and their ``slots`` (see :func:`pair_weights`).
+
+    Rows of stuck particles are identical, and the column means vanish up
+    to roundoff, so the mean velocity is a conserved quantity of the flow.
+    """
     w = pair_weights(x, pairs, kernel, slots)
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
@@ -191,15 +187,6 @@ def acceleration_arrays(
     # separation equation d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt that the
     # twobody module solves in closed form.
     return (w @ v - w.sum(axis=1)[:, None] * v) * (2.0 / x.shape[0])
-
-
-def acceleration(system: ParticleSystem) -> np.ndarray:
-    """Alignment acceleration, one row per particle.
-
-    Rows of stuck particles are identical, and the column means vanish up
-    to roundoff, so the mean velocity is a conserved quantity of the flow.
-    """
-    return acceleration_arrays(system.x, system.v, system.partition.inter_pairs(), system.kernel)
 
 
 def merge_clusters(system: ParticleSystem, group) -> ParticleSystem:

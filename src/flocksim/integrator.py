@@ -67,7 +67,7 @@ from scipy.integrate import RK45
 from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_norms, pair_slots
 from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
 from .kernels import (
-    CuckerSmaleKernel, RegularizedKernel, _check_cap, _check_int, _check_kernel, _check_positive
+    CuckerSmaleKernel, RegularizedKernel, _check_int, _check_kernel, _check_positive
 )
 from .twobody import stick_time
 
@@ -112,7 +112,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "d_stick", "v_stick", "t_end", "sample_dt"):
             _check_positive(getattr(self, name), name)
-        object.__setattr__(self, "n_reg", _check_cap(self.n_reg, "n_reg"))
+        object.__setattr__(self, "n_reg", _check_int(self.n_reg, "n_reg", 2))
         object.__setattr__(self, "max_segments", _check_int(self.max_segments, "max_segments", 1))
 
 

@@ -12,9 +12,10 @@ Three weight families drive the velocity-alignment force:
   once, bitwise equal to the branch code.
 * :class:`CuckerSmaleKernel` -- the bounded weight ``K*(1+s**2)**(-beta/2)``.
 
-:func:`eval_weight` evaluates any of them at validated separations.  The
-antiderivative of the singular weight, ``s**(1-alpha)/(1-alpha)``, belongs
-to the two-body analysis in :mod:`flocksim.twobody`.
+Each ``weight`` takes an array of separations, 0-d included, and returns
+weights of the same shape.  The antiderivative of the singular weight,
+``s**(1-alpha)/(1-alpha)``, belongs to the two-body analysis in
+:mod:`flocksim.twobody`.
 """
 
 from __future__ import annotations
@@ -33,38 +34,31 @@ __all__ = [
     "RegularizedKernel",
     "CuckerSmaleKernel",
     "WeightKernel",
-    "eval_weight",
 ]
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < float(alpha) < 1.0):
-        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number.  Each numeric rule asks
+    this before it compares, so text, None and NaN fail by the rule's own
+    message rather than as a bare TypeError."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _check_alpha(alpha) -> None:
+    if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}", key="alpha")
 
 
 def _check_positive(value, key: str) -> None:
-    if not (np.isfinite(value) and value > 0.0):
+    if not (_finite_real(value) and value > 0.0):
         raise DomainError(f"{key} must be positive and finite, got {value!r}", key=key)
 
 
 def _check_int(n, key: str, least: int) -> int:
-    """An integer ``n`` of at least ``least``, as an int; a value that is
-    not a finite real number is rejected before any conversion."""
-    if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= least):
+    """An integer ``n`` of at least ``least``, as an int."""
+    if not (_finite_real(n) and int(n) == n and n >= least):
         raise DomainError(f"{key} must be an integer >= {least}, got {n!r}", key=key)
     return int(n)
-
-
-def _check_cap(n, key: str) -> int:
-    """A cap index ``n``, an integer of at least 2, as an int."""
-    return _check_int(n, key, 2)
-
-
-def _check_separation(s: np.ndarray) -> None:
-    if not np.all(np.isfinite(s)):
-        raise DomainError("separation must be finite")
-    if np.any(s < 0.0):
-        raise DomainError("separation must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ class RegularizedKernel:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        object.__setattr__(self, "n", _check_cap(self.n, "n"))
+        object.__setattr__(self, "n", _check_int(self.n, "n", 2))
 
     @property
     def cap_end(self) -> float:
@@ -154,7 +148,7 @@ class CuckerSmaleKernel:
 
     def __post_init__(self) -> None:
         _check_positive(self.K, "K")
-        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+        if not (_finite_real(self.beta) and self.beta >= 0.0):
             raise DomainError(f"beta must be nonnegative and finite, got {self.beta!r}", key="beta")
 
     def weight(self, s: np.ndarray) -> np.ndarray:
@@ -167,19 +161,4 @@ WeightKernel = Union[SingularKernel, RegularizedKernel, CuckerSmaleKernel]
 def _check_kernel(kernel) -> None:
     if not isinstance(kernel, (SingularKernel, RegularizedKernel, CuckerSmaleKernel)):
         raise DomainError(f"not a weight kernel: {kernel!r}")
-
-
-def eval_weight(kernel: WeightKernel, s):
-    """Evaluate a weight kernel at separation(s) ``s``.
-
-    Accepts a scalar or an array; negative or non-finite separations raise
-    :class:`~flocksim.errors.DomainError`.
-    """
-    _check_kernel(kernel)
-    arr = np.asarray(s, dtype=float)
-    _check_separation(arr)
-    out = kernel.weight(arr)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
 

@@ -10,7 +10,7 @@ weight's antiderivative and ``c = 2 P(phi(0)) + phi'(0)`` is conserved.
 The sign of ``c`` decides the fate of an approaching pair:
 
 * ``c == 0``  -- the pair meets with matched velocities after the finite
-  time :func:`stick_time`; the orbit is :func:`phi_critical`.
+  time :func:`stick_time`.
 * ``c < 0``   -- the pair meets with residual closing speed ``|c|``.
 * ``c > 0``   -- the separation never reaches zero; it tends to the level
   where ``2 P(phi) == c``.
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError
-from .kernels import CuckerSmaleKernel, _check_alpha, _check_positive
+from .kernels import CuckerSmaleKernel, _check_alpha, _check_int, _check_positive, _finite_real
 
 __all__ = [
     "TwoBodyProblem",
@@ -36,7 +36,6 @@ __all__ = [
     "TwoBodyOutcome",
     "critical_velocity",
     "stick_time",
-    "phi_critical",
     "classify",
     "LevelGapRecord",
     "level_time_bound_check",
@@ -62,8 +61,8 @@ class TwoBodyProblem:
 
     def __post_init__(self) -> None:
         _check_positive(self.phi0, "phi0")
-        if not np.isfinite(self.dphi0):
-            raise DomainError(f"initial separation rate must be finite, got {self.dphi0!r}")
+        if not _finite_real(self.dphi0):
+            raise DomainError(f"dphi0 must be finite, got {self.dphi0!r}", key="dphi0")
         _check_alpha(self.alpha)
 
 
@@ -98,25 +97,6 @@ def stick_time(phi0: float, alpha: float) -> float:
     _check_positive(phi0, "phi0")
     _check_alpha(alpha)
     return (1.0 - alpha) * float(phi0) ** alpha / (2.0 * alpha)
-
-
-def phi_critical(phi0: float, alpha: float, t) -> np.ndarray:
-    """Separation along the critical orbit at time(s) ``t`` in ``[0, t0]``.
-
-    The orbit is ``(phi0**alpha - (2 alpha/(1-alpha)) t) ** (1/alpha)``,
-    reaching zero exactly at :func:`stick_time`.
-    """
-    _check_positive(phi0, "phi0")
-    _check_alpha(alpha)
-    t_arr = np.asarray(t, dtype=float)
-    t0 = stick_time(phi0, alpha)
-    if np.any(t_arr < 0.0) or np.any(t_arr > t0 * (1.0 + 1e-12)):
-        raise DomainError(f"time must lie in [0, {t0}], got {t!r}")
-    base = np.maximum(float(phi0) ** alpha - (2.0 * alpha / (1.0 - alpha)) * t_arr, 0.0)
-    out = base ** (1.0 / alpha)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
@@ -154,11 +134,6 @@ class LevelGapRecord:
     ok: bool
 
 
-def _check_levels(n_levels: int, key: str) -> None:
-    if n_levels < 2:
-        raise DomainError(f"{key} must be at least 2, got {n_levels!r}", key=key)
-
-
 def level_time_bound_check(phi0: float, alpha: float, n_max: int) -> list[LevelGapRecord]:
     """Check the geometric bound on times between halvings of the separation.
 
@@ -173,7 +148,7 @@ def level_time_bound_check(phi0: float, alpha: float, n_max: int) -> list[LevelG
     """
     _check_positive(phi0, "phi0")
     _check_alpha(alpha)
-    _check_levels(n_max, "n_max")
+    n_max = _check_int(n_max, "n_max", 2)
     coeff = (1.0 - alpha) / (2.0 * alpha)
 
     def t_level(n: int) -> float:

@@ -213,8 +213,11 @@ class TestParseErrors:
              ("simulate", GEN_TEXT + "box = -1\n")),
             (lambda: generate_scenario(3, 1, 1, box=1.0, speed=0.0), "speed", 0.0,
              ("diagnose", GEN_TEXT + "speed = 0\n")),
+            (lambda: SolverConfig(rel_tol=None), "rel_tol", None, None),
+            (lambda: SolverConfig(t_end="1"), "t_end", "1", None),
         ],
-        ids=["phi0", "phi0_zero", "phi0_inf", "t_end", "K", "K_nan", "box", "speed"],
+        ids=["phi0", "phi0_zero", "phi0_inf", "t_end", "K", "K_nan", "box", "speed",
+             "rel_tol_none", "t_end_text"],
     )
     def test_positive_and_finite_rule(self, library_call, key, value, cli):
         _assert_one_rule(f"must be positive and finite, got {value!r}", library_call, key, cli)
@@ -245,24 +248,54 @@ class TestParseErrors:
                          lambda: SolverConfig(max_segments=value), "max_segments", cli)
 
     @pytest.mark.parametrize(
-        "library_call,key,cli",
+        "library_call,key,value,cli",
         [
-            (lambda: generate_scenario(0, 1, 1, box=1.0, speed=1.0), "n",
+            (lambda: generate_scenario(0, 1, 1, box=1.0, speed=1.0), "n", 0,
              ("simulate", GEN_TEXT.replace("n = 3", "n = 0"))),
-            (lambda: generate_scenario(3, 0, 1, box=1.0, speed=1.0), "d",
+            (lambda: generate_scenario(3, 0, 1, box=1.0, speed=1.0), "d", 0,
              ("converge", GEN_TEXT.replace("d = 1", "d = 0") + "[converge]\nn_list = 5 50\n")),
-            (lambda: generate_scenario(0, 1, 1, box=1.0, speed=1.0), "n",
+            (lambda: generate_scenario(0, 1, 1, box=1.0, speed=1.0), "n", 0,
              ("simulate", "[scenario]\nn = 0\nd = 1\nalpha = 0.5\n")),
+            (lambda: generate_scenario(math.nan, 1, 1, box=1.0, speed=1.0), "n", math.nan, None),
+            (lambda: generate_scenario(2.5, 1, 1, box=1.0, speed=1.0), "n", 2.5, None),
         ],
-        ids=["n", "d", "n_inline"],
+        ids=["n", "d", "n_inline", "n_nan", "n_fraction"],
     )
-    def test_scenario_size_rule(self, library_call, key, cli):
-        _assert_one_rule("must be at least 1, got 0", library_call, key, cli)
+    def test_scenario_size_rule(self, library_call, key, value, cli):
+        _assert_one_rule(f"must be an integer >= 1, got {value!r}", library_call, key, cli)
+
+    def test_whole_float_counts_are_used_as_ints(self):
+        x, v = generate_scenario(3.0, 2.0, 1, box=1.0, speed=1.0)
+        assert x.shape == v.shape == (3, 2)
+        assert [r.n for r in level_time_bound_check(1.0, 0.5, 4.0)] == [2, 3, 4]
 
     def test_level_count_rule(self):
         cli = ("twobody", TB_TEXT + "phi0 = 1.0\nn_levels = 1\n")
-        _assert_one_rule("must be at least 2, got 1", lambda: level_time_bound_check(1.0, 0.5, 1),
-                         "n_max", cli, cli_key="n_levels")
+        for value in (1, math.inf, 2.5):
+            _assert_one_rule(f"must be an integer >= 2, got {value!r}",
+                             lambda: level_time_bound_check(1.0, 0.5, value), "n_max",
+                             cli if value == 1 else None, cli_key="n_levels")
+
+    @pytest.mark.parametrize(
+        "library_call,key,rule,cli",
+        [
+            (lambda: SingularKernel(alpha=None), "alpha", "must lie strictly in (0, 1), got None",
+             None),
+            (lambda: SingularKernel(alpha="0.5"), "alpha",
+             "must lie strictly in (0, 1), got '0.5'", None),
+            (lambda: SingularKernel(alpha=1.5), "alpha", "must lie strictly in (0, 1), got 1.5",
+             ("simulate", SIM_TEXT.replace("alpha = 0.5", "alpha = 1.5"))),
+            (lambda: CuckerSmaleKernel(K=1.0, beta=None), "beta",
+             "must be nonnegative and finite, got None", None),
+            (lambda: CuckerSmaleKernel(K=1.0, beta=-3.0), "beta",
+             "must be nonnegative and finite, got -3.0",
+             ("simulate", SIM_TEXT.replace("alpha = 0.5", "kernel = cucker_smale\nbeta = -3"))),
+            (lambda: TwoBodyProblem(1.0, None, 0.5), "dphi0", "must be finite, got None", None),
+        ],
+        ids=["alpha_none", "alpha_text", "alpha", "beta_none", "beta", "dphi0_none"],
+    )
+    def test_real_parameter_rule(self, library_call, key, rule, cli):
+        _assert_one_rule(rule, library_call, key, cli)
 
     @pytest.mark.parametrize(
         "body,key",

@@ -16,18 +16,15 @@ from flocksim import diagnostics
 from flocksim import (
     DIVERGENT,
     FINITE,
-    INCONCLUSIVE,
     NON_STICK,
     STICKING,
     DomainError,
     InsufficientDataError,
-    IntegrabilityRecord,
     SingularKernel,
     SolverConfig,
     conservation_residual,
     critical_velocity,
     dissipation_check,
-    divergent_components,
     holder_exponent,
     integrability_probe,
     make_system,
@@ -108,10 +105,11 @@ class TestHolderExponent:
         with pytest.raises(DomainError):
             holder_exponent(supercritical_run, supercritical_run.events[0])
 
-    def test_thin_window_insufficient(self, critical_runs):
+    def test_thin_window_insufficient(self, critical_runs, monkeypatch):
         traj = critical_runs[0.5]
+        monkeypatch.setattr(diagnostics, "_HOLDER_WINDOW_FRAC", 1e-9)
         with pytest.raises(InsufficientDataError):
-            holder_exponent(traj, traj.events[0], window_frac=1e-9)
+            holder_exponent(traj, traj.events[0])
 
     def test_triple_collapse_exponent(self, triple_run):
         traj, _ = triple_run
@@ -172,27 +170,6 @@ class TestIntegrabilityProbe:
     def test_empty_window_rejected(self, critical_runs):
         with pytest.raises(DomainError):
             integrability_probe(critical_runs[0.5], (0, 1), 0.0)
-
-
-class TestDivergentComponents:
-    def test_groups_divergent_edges(self):
-        records = [
-            IntegrabilityRecord((0, 1), 5.0, DIVERGENT),
-            IntegrabilityRecord((1, 2), 1.0, FINITE),
-            IntegrabilityRecord((3, 4), 2.0, DIVERGENT),
-        ]
-        assert divergent_components(records, 5) == [(0, 1), (2,), (3, 4)]
-
-    def test_inconclusive_edges_ignored(self):
-        records = [IntegrabilityRecord((0, 1), float("nan"), INCONCLUSIVE)]
-        assert divergent_components(records, 2) == [(0,), (1,)]
-
-    def test_chain_merges(self):
-        records = [
-            IntegrabilityRecord((0, 1), 1.0, DIVERGENT),
-            IntegrabilityRecord((1, 2), 1.0, DIVERGENT),
-        ]
-        assert divergent_components(records, 3) == [(0, 1, 2)]
 
 
 class TestRunDiagnostics:

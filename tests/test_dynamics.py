@@ -18,12 +18,10 @@ from flocksim import (
     RegularizedKernel,
     SingularEvaluationError,
     SingularKernel,
-    acceleration,
     make_system,
     merge_clusters,
-    pair_weights,
 )
-from flocksim.dynamics import pair_slots
+from flocksim.dynamics import acceleration_arrays, pair_slots, pair_weights
 
 
 def _random_system(seed, n, d, kernel=None):
@@ -31,6 +29,16 @@ def _random_system(seed, n, d, kernel=None):
     x = rng.uniform(-1.0, 1.0, (n, d))
     v = rng.uniform(-1.0, 1.0, (n, d))
     return make_system(x, v, kernel or SingularKernel(alpha=0.5))
+
+
+def _weights(x, pairs, kernel):
+    return pair_weights(x, pairs, kernel, pair_slots(pairs, len(x)))
+
+
+def _acceleration(s):
+    """The solver's force rows on the system's inter-cluster pairs."""
+    pairs = s.partition.inter_pairs()
+    return acceleration_arrays(s.x, s.v, pairs, s.kernel, pair_slots(pairs, s.n_particles))
 
 
 class TestClusterPartition:
@@ -47,11 +55,11 @@ class TestClusterPartition:
         assert not p.union(2, 0)  # already joined
 
     def test_groups_sorted(self):
+        # each cluster is named by its smallest member, whatever the union order
         p = ClusterPartition(5)
         p.union(3, 1)
         p.union(1, 4)
-        groups = p.groups()
-        assert sorted(map(tuple, groups)) == [(0,), (1, 3, 4), (2,)]
+        np.testing.assert_array_equal(p.labels(), [0, 1, 2, 1, 1])
 
     def test_copy_is_independent(self):
         p = ClusterPartition(3)
@@ -89,7 +97,6 @@ class TestClusterPartition:
         for i in range(n):
             comps.setdefault(find(i), []).append(i)
         np.testing.assert_array_equal(p.labels(), [comps[find(i)][0] for i in range(n)])
-        assert p.groups() == sorted(comps.values())
         assert p.n_clusters == len(comps)
         iu, ju = np.triu_indices(n, 1)
         ref_inter = [(i, j) for i, j in zip(iu.tolist(), ju.tolist()) if find(i) != find(j)]
@@ -106,7 +113,7 @@ class TestMakeSystem:
     def test_1d_column_shape(self):
         s = make_system([[0.0], [1.0]], [[1.0], [-1.0]], SingularKernel(alpha=0.5))
         assert s.n_particles == 2
-        assert s.dim == 1
+        assert s.x.shape == s.v.shape == (2, 1)
 
     def test_coincident_particles_share_cluster(self):
         x = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
@@ -119,6 +126,10 @@ class TestMakeSystem:
         v = [[1.0], [2.0]]
         s = make_system(x, v, SingularKernel(alpha=0.5))
         np.testing.assert_array_equal(s.partition.labels(), [0, 1])
+
+    def test_non_kernel_rejected(self):
+        with pytest.raises(DomainError, match="not a weight kernel"):
+            make_system([[0.0], [1.0]], [[1.0], [-1.0]], object())
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -146,34 +157,31 @@ def _partition(labels):
 class TestPairWeights:
     def test_symmetric_zero_diagonal(self):
         s = _random_system(1, 4, 2)
-        w = pair_weights(s.x, s.partition.inter_pairs(), s.kernel)
+        w = _weights(s.x, s.partition.inter_pairs(), s.kernel)
         np.testing.assert_array_equal(w, w.T)
         assert np.all(np.diag(w) == 0.0)
 
     def test_same_cluster_zeroed(self):
         x = np.array([[0.0], [0.0], [1.0]])
-        w = pair_weights(x, _partition([0, 0, 1]).inter_pairs(), SingularKernel(alpha=0.5))
+        w = _weights(x, _partition([0, 0, 1]).inter_pairs(), SingularKernel(alpha=0.5))
         assert w[0, 1] == 0.0
         assert w[0, 2] == 1.0
 
     def test_intercluster_contact_raises(self):
         x = np.array([[0.0], [0.0]])
         with pytest.raises(SingularEvaluationError):
-            pair_weights(x, ClusterPartition(2).inter_pairs(), SingularKernel(alpha=0.5))
+            _weights(x, ClusterPartition(2).inter_pairs(), SingularKernel(alpha=0.5))
 
     def test_bounded_kernel_tolerates_contact(self):
         x = np.array([[0.0], [0.0]])
-        w = pair_weights(x, ClusterPartition(2).inter_pairs(), CuckerSmaleKernel(K=1.0, beta=2.0))
+        w = _weights(x, ClusterPartition(2).inter_pairs(), CuckerSmaleKernel(K=1.0, beta=2.0))
         assert w[0, 1] == 1.0
 
-    def test_given_slots_equal_built_slots(self):
-        s = _random_system(2, 7, 3)
+    def test_slots_are_linear_indices(self):
         pairs = _partition([0, 1, 1, 2, 3, 3, 4]).inter_pairs()
         slots = pair_slots(pairs, 7)
         np.testing.assert_array_equal(slots[0], pairs[0] * 7 + pairs[1])
         np.testing.assert_array_equal(slots[1], pairs[1] * 7 + pairs[0])
-        w = pair_weights(s.x, pairs, s.kernel, slots)
-        assert w.tobytes() == pair_weights(s.x, pairs, s.kernel).tobytes()
 
     @given(
         seed=st.integers(0, 10_000),
@@ -202,7 +210,7 @@ class TestPairWeights:
         with np.errstate(divide="ignore"):
             ref = kernel.weight(dist)
         ref[~inter] = 0.0
-        w = pair_weights(x, part.inter_pairs(), kernel)
+        w = _weights(x, part.inter_pairs(), kernel)
         assert w.tobytes() == ref.tobytes()
 
 
@@ -210,7 +218,7 @@ class TestAcceleration:
     def test_two_body_hand_value(self):
         # separation 1, psi(1)=1: a_i = (2/2) * 1 * (v_k - v_i)
         s = make_system([[0.0], [1.0]], [[1.0], [-1.0]], SingularKernel(alpha=0.5))
-        a = acceleration(s)
+        a = _acceleration(s)
         np.testing.assert_allclose(a, [[-2.0], [2.0]], atol=1e-14)
 
     def test_stuck_pair_multiplicity(self):
@@ -219,7 +227,7 @@ class TestAcceleration:
         s = make_system(
             [[0.0], [0.0], [1.0]], [[5.0], [5.0], [0.0]], SingularKernel(alpha=0.5)
         )
-        a = acceleration(s)
+        a = _acceleration(s)
         np.testing.assert_allclose(a[:, 0], [-10.0 / 3.0, -10.0 / 3.0, 20.0 / 3.0], rtol=1e-14)
 
     def test_stuck_rows_identical(self):
@@ -228,23 +236,23 @@ class TestAcceleration:
             [[5.0, 1.0], [5.0, 1.0], [0.0, 0.0]],
             SingularKernel(alpha=0.75),
         )
-        a = acceleration(s)
+        a = _acceleration(s)
         np.testing.assert_array_equal(a[0], a[1])
 
     def test_equal_velocities_no_force(self):
         s = make_system([[0.0], [1.0], [3.0]], [[2.0], [2.0], [2.0]], SingularKernel(alpha=0.5))
-        np.testing.assert_array_equal(acceleration(s), 0.0)
+        np.testing.assert_array_equal(_acceleration(s), 0.0)
 
     def test_single_cluster_no_force(self):
         s = make_system([[0.0], [1.0]], [[1.0], [-1.0]], SingularKernel(alpha=0.5))
         merged = merge_clusters(s, [0, 1])
-        np.testing.assert_array_equal(acceleration(merged), 0.0)
+        np.testing.assert_array_equal(_acceleration(merged), 0.0)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 6), d=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_mean_velocity_conserved(self, seed, n, d):
         s = _random_system(seed, n, d)
-        a = acceleration(s)
+        a = _acceleration(s)
         np.testing.assert_allclose(a.mean(axis=0), 0.0, atol=1e-13)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 6), d=st.integers(1, 3))
@@ -252,18 +260,18 @@ class TestAcceleration:
     def test_dispersion_decay_identity(self, seed, n, d):
         # d/dt sum_ij |v_i - v_j|^2 = -4 sum_ik psi_ik |v_i - v_k|^2
         s = _random_system(seed, n, d)
-        a = acceleration(s)
+        a = _acceleration(s)
         dv = s.v[:, None, :] - s.v[None, :, :]
         da = a[:, None, :] - a[None, :, :]
         lhs = 2.0 * np.einsum("ijd,ijd->", dv, da)
-        w = pair_weights(s.x, s.partition.inter_pairs(), s.kernel)
+        w = _weights(s.x, s.partition.inter_pairs(), s.kernel)
         rhs = -4.0 * np.einsum("ij,ijd,ijd->", w, dv, dv)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_dispersion_never_grows(self):
         for seed in range(10):
             s = _random_system(seed, 5, 2)
-            a = acceleration(s)
+            a = _acceleration(s)
             dv = s.v[:, None, :] - s.v[None, :, :]
             da = a[:, None, :] - a[None, :, :]
             assert 2.0 * np.einsum("ijd,ijd->", dv, da) <= 1e-12
@@ -276,7 +284,7 @@ class TestAcceleration:
         x = rng.uniform(-1e-3, 1e-3, (6, 2))  # crowded, weights near the cap
         v = rng.uniform(-1.0, 1.0, (6, 2))
         s = make_system(x, v, kernel)
-        a = acceleration(s)
+        a = _acceleration(s)
         vmax = np.linalg.norm(v, axis=1).max()
         assert np.linalg.norm(a, axis=1).max() <= 4.0 * n_cap * vmax
 

@@ -33,6 +33,7 @@ from flocksim import (
     stick_time,
 )
 from flocksim import integrator
+from flocksim.cli import generate_scenario
 from flocksim.integrator import _NSUB, _Driver
 from conftest import critical_two_body
 
@@ -152,7 +153,7 @@ class TestTwoClusterCollapse:
         x = np.where(in_a, -0.5 * phi0 * e, 0.5 * phi0 * e)
         v = np.where(in_a, 0.5 * closing * e, -0.5 * closing * e)
         system = make_system(x, v, SingularKernel(alpha=alpha))
-        assert system.partition.groups() == [[0, 2, 3, 5], [1, 4]]
+        np.testing.assert_array_equal(system.partition.labels(), [0, 1, 0, 0, 1, 0])
         traj = solve_piecewise(system, SolverConfig(t_end=0.6))
         assert [ev.kind for ev in traj.events] == [STICKING]
         assert traj.events[0].group == tuple(range(n))
@@ -252,6 +253,56 @@ class TestDeterminismAndStability:
         traj = solve_piecewise(s, SolverConfig(t_end=1.0, rel_tol=1e-7, abs_tol=1e-10))
         assert [e.kind for e in traj.events] == [STICKING]
         assert abs(traj.events[0].t_event - 0.5) < 1e-3
+
+
+def _storm(n, d, seed, speed):
+    """A generated storm's initial data and its solve (alpha 0.5, t_end 0.5)."""
+    x, v = generate_scenario(n, d, seed, box=1.0, speed=speed)
+    return x, v, _solve_storm(x, v)
+
+
+def _solve_storm(x, v):
+    return solve_piecewise(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig(t_end=0.5))
+
+
+_STORMS = dict(
+    n=st.integers(2, 8), d=st.integers(1, 3), seed=st.integers(0, 2**16), speed=st.floats(1.0, 5.0)
+)
+# bound on |dt_event| * max(rel_speed, v_stick) between a storm and its
+# relabelling; the largest seen over 3512 events of 3780 storms (N 2-8,
+# d 1-3, speed 1-5, seeds 0-35) was 2.1e-6
+_RELABEL_DX = 1e-5
+
+
+class TestSymmetries:
+    @given(**_STORMS)
+    @settings(max_examples=20, deadline=None)
+    def test_reflection_is_exact(self, n, d, seed, speed):
+        # every operation of the solve is odd or even in (x, v), so the
+        # reflected run is the same run with the signs flipped
+        x, v, traj = _storm(n, d, seed, speed)
+        mirror = _solve_storm(-x, -v)
+        np.testing.assert_array_equal(mirror.t, traj.t)
+        np.testing.assert_array_equal(mirror.x, -traj.x)
+        np.testing.assert_array_equal(mirror.v, -traj.v)
+        assert mirror.events == traj.events
+
+    @given(**_STORMS, data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_relabelling(self, n, d, seed, speed, data):
+        # the relabelled run sums the forces in another order, so its step
+        # sequence differs by roundoff and its states by about the
+        # integration error; an event at closing speed u then moves by up
+        # to that distance over u (a stall, u below v_stick, by up to the
+        # probe step that detects it)
+        x, v, traj = _storm(n, d, seed, speed)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        other = _solve_storm(x[perm], v[perm])
+        mapped = [(e.kind, tuple(sorted(perm[list(e.group)].tolist()))) for e in other.events]
+        assert mapped == [(e.kind, e.group) for e in traj.events]
+        v_stick = traj.config.v_stick
+        for e, f in zip(traj.events, other.events):
+            assert abs(e.t_event - f.t_event) * max(e.rel_speed, v_stick) <= _RELABEL_DX
 
 
 class TestSegmentApi:

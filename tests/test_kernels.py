@@ -17,8 +17,11 @@ from flocksim import (
     RegularizedKernel,
     SingularKernel,
     critical_velocity,
-    eval_weight,
 )
+
+
+def _weight(kernel, s):
+    return kernel.weight(np.asarray(s, dtype=float))
 
 
 def _primitive(s, alpha):
@@ -29,32 +32,24 @@ def _primitive(s, alpha):
 class TestSingular:
     def test_known_values(self):
         k = SingularKernel(alpha=0.5)
-        assert eval_weight(k, 4.0) == 0.5
-        assert eval_weight(k, 0.25) == 2.0
-        assert eval_weight(k, 1.0) == 1.0
-        assert eval_weight(SingularKernel(alpha=0.25), 16.0) == 0.5
+        assert _weight(k, 4.0) == 0.5
+        assert _weight(k, 0.25) == 2.0
+        assert _weight(k, 1.0) == 1.0
+        assert _weight(SingularKernel(alpha=0.25), 16.0) == 0.5
 
     def test_zero_separation_is_zero(self):
         # the convention that makes coincident particles exert no force
-        assert eval_weight(SingularKernel(alpha=0.5), 0.0) == 0.0
+        assert _weight(SingularKernel(alpha=0.5), 0.0) == 0.0
 
     def test_array_evaluation(self):
         k = SingularKernel(alpha=0.5)
         s = np.array([0.0, 0.25, 1.0, 4.0])
-        np.testing.assert_array_equal(eval_weight(k, s), [0.0, 2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(_weight(k, s), [0.0, 2.0, 1.0, 0.5])
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(DomainError):
             SingularKernel(alpha=alpha)
-
-    def test_negative_separation_rejected(self):
-        with pytest.raises(DomainError):
-            eval_weight(SingularKernel(alpha=0.5), -1.0)
-
-    def test_nonfinite_separation_rejected(self):
-        with pytest.raises(DomainError):
-            eval_weight(SingularKernel(alpha=0.5), float("nan"))
 
     @given(
         alpha=st.floats(0.05, 0.95),
@@ -65,7 +60,7 @@ class TestSingular:
     def test_monotone_decreasing(self, alpha, a, b):
         k = SingularKernel(alpha=alpha)
         lo, hi = min(a, b), max(a, b)
-        assert eval_weight(k, lo) >= eval_weight(k, hi)
+        assert _weight(k, lo) >= _weight(k, hi)
 
 
 class TestRegularized:
@@ -76,21 +71,21 @@ class TestRegularized:
 
     def test_constant_branch(self):
         k = RegularizedKernel(alpha=0.5, n=10)
-        assert eval_weight(k, 0.0) == 10.0
-        assert eval_weight(k, 0.005) == 10.0
-        assert eval_weight(k, k.cap_end) == 10.0
+        assert _weight(k, 0.0) == 10.0
+        assert _weight(k, 0.005) == 10.0
+        assert _weight(k, k.cap_end) == 10.0
 
     def test_agrees_with_singular_beyond_bridge(self):
         # bitwise agreement: both branches evaluate the same power expression
         k = RegularizedKernel(alpha=0.5, n=10)
         raw = SingularKernel(alpha=0.5)
         s = np.linspace(k.bridge_end, 3.0, 117)
-        np.testing.assert_array_equal(eval_weight(k, s), eval_weight(raw, s))
+        np.testing.assert_array_equal(_weight(k, s), _weight(raw, s))
 
     def test_bridge_between_branch_values(self):
         k = RegularizedKernel(alpha=0.25, n=7)
         s = np.linspace(k.cap_end, k.bridge_end, 301)
-        w = eval_weight(k, s)
+        w = _weight(k, s)
         assert np.all(w <= 7.0 + 1e-12)
         assert np.all(w >= k.bridge_end ** -0.25 - 1e-12)
 
@@ -98,17 +93,17 @@ class TestRegularized:
     def test_monotone_across_bridge(self, alpha, n):
         k = RegularizedKernel(alpha=alpha, n=n)
         s = np.linspace(0.5 * k.cap_end, 2.0 * k.bridge_end, 2001)
-        w = eval_weight(k, s)
+        w = _weight(k, s)
         assert np.all(np.diff(w) <= 1e-12 * n)
 
     def test_c1_join_at_bridge_ends(self):
         k = RegularizedKernel(alpha=0.5, n=10)
         h = 1e-9 * k.cap_end
-        left_slope = (eval_weight(k, k.cap_end + h) - eval_weight(k, k.cap_end - h)) / (2 * h)
+        left_slope = (_weight(k, k.cap_end + h) - _weight(k, k.cap_end - h)) / (2 * h)
         assert abs(left_slope) < 1e-3 * 10 / k.cap_end
         hi = k.bridge_end
         h = 1e-9 * hi
-        right_slope = (eval_weight(k, hi + h) - eval_weight(k, hi - h)) / (2 * h)
+        right_slope = (_weight(k, hi + h) - _weight(k, hi - h)) / (2 * h)
         expected = -0.5 * hi ** -1.5
         assert right_slope == pytest.approx(expected, rel=1e-5)
 
@@ -119,8 +114,8 @@ class TestRegularized:
 
     def test_cap_index_two_allowed(self):
         k = RegularizedKernel(alpha=0.5, n=2)
-        assert eval_weight(k, 0.0) == 2.0
-        assert eval_weight(k, 4.0) == 0.5
+        assert _weight(k, 0.0) == 2.0
+        assert _weight(k, 4.0) == 0.5
 
 
 def _three_branch_weight(k, s):
@@ -187,22 +182,22 @@ class TestRegularizedFastPath:
 class TestCuckerSmale:
     def test_known_values(self):
         k = CuckerSmaleKernel(K=1.0, beta=2.0)
-        assert eval_weight(k, 0.0) == 1.0
-        assert eval_weight(k, 1.0) == 0.5
-        assert eval_weight(k, 3.0) == 0.1
+        assert _weight(k, 0.0) == 1.0
+        assert _weight(k, 1.0) == 0.5
+        assert _weight(k, 3.0) == 0.1
 
     def test_scale_factor(self):
-        assert eval_weight(CuckerSmaleKernel(K=4.0, beta=2.0), 1.0) == 2.0
+        assert _weight(CuckerSmaleKernel(K=4.0, beta=2.0), 1.0) == 2.0
 
     def test_beta_zero_is_constant(self):
         k = CuckerSmaleKernel(K=2.5, beta=0.0)
         s = np.array([0.0, 1.0, 100.0])
-        np.testing.assert_array_equal(eval_weight(k, s), 2.5)
+        np.testing.assert_array_equal(_weight(k, s), 2.5)
 
     def test_bounded_by_k(self):
         k = CuckerSmaleKernel(K=3.0, beta=1.5)
         s = np.linspace(0.0, 50.0, 501)
-        w = eval_weight(k, s)
+        w = _weight(k, s)
         assert np.all(w <= 3.0)
         assert np.all(w > 0.0)
 
@@ -228,7 +223,7 @@ class TestPrimitive:
         k = SingularKernel(alpha=alpha)
         h = 1e-6 * s
         slope = (_primitive(s + h, alpha) - _primitive(s - h, alpha)) / (2 * h)
-        assert slope == pytest.approx(eval_weight(k, s), rel=1e-7)
+        assert slope == pytest.approx(_weight(k, s), rel=1e-7)
 
     def test_strictly_increasing(self):
         s = np.linspace(0.0, 5.0, 400)[1:]
@@ -236,14 +231,22 @@ class TestPrimitive:
 
 
 class TestEvalGuards:
-    def test_eval_weight_rejects_non_kernel(self):
-        with pytest.raises(DomainError):
-            eval_weight(object(), 1.0)
+    """What ``weight`` takes and returns, for every kernel: the solver
+    passes 1-d arrays, and a 0-d array evaluates one separation."""
+
+    KERNELS = (SingularKernel(alpha=0.5), RegularizedKernel(alpha=0.5, n=10),
+               CuckerSmaleKernel(K=4.0, beta=2.0))
 
     def test_scalar_in_scalar_out(self):
-        out = eval_weight(SingularKernel(alpha=0.5), 4.0)
-        assert isinstance(out, float)
+        for k, expected in zip(self.KERNELS, (0.5, 0.5, 4.0 / 17.0)):
+            out = k.weight(np.asarray(4.0))
+            assert np.shape(out) == ()
+            assert out == expected
 
     def test_array_in_array_out(self):
-        out = eval_weight(SingularKernel(alpha=0.5), np.array([1.0, 4.0]))
-        assert isinstance(out, np.ndarray)
+        s = np.array([[1.0, 4.0], [0.25, 9.0]])
+        for k in self.KERNELS:
+            out = k.weight(s)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == s.shape
+            assert out.tobytes() == np.array([k.weight(np.asarray(e)) for e in s.flat]).tobytes()

@@ -20,13 +20,18 @@ from flocksim import (
     classify,
     critical_velocity,
     level_time_bound_check,
-    phi_critical,
     stick_time,
 )
 
 # independently derived: t_hit for phi0=1, dphi0=-5, alpha=0.5 is
 # integral_0^1 du/(4 sqrt(u) + 1) = 1/2 - ln(5)/8
 T_HIT_SUPER = 0.5 - math.log(5.0) / 8.0
+
+
+def _critical_orbit(phi0, alpha, t):
+    """Separation at time ``t`` along the critical orbit, which closes at
+    :func:`stick_time`: ``(phi0**alpha - (2 alpha/(1-alpha)) t) ** (1/alpha)``."""
+    return (phi0**alpha - (2.0 * alpha / (1.0 - alpha)) * t) ** (1.0 / alpha)
 
 
 def _rk4_separation(phi0, dphi0, alpha, dt, t_max, floor):
@@ -88,30 +93,23 @@ class TestStickTime:
 
 class TestPhiCritical:
     def test_endpoints(self):
-        assert phi_critical(1.0, 0.5, 0.0) == 1.0
-        assert phi_critical(1.0, 0.5, 0.5) == 0.0
+        # the orbit starts at phi0 and closes exactly at the stick time
+        assert _critical_orbit(1.0, 0.5, 0.0) == 1.0
+        assert _critical_orbit(4.0, 0.5, 0.0) == 4.0
+        assert _critical_orbit(1.0, 0.5, stick_time(1.0, 0.5)) == 0.0
+        assert _critical_orbit(4.0, 0.5, stick_time(4.0, 0.5)) == 0.0
 
     def test_quadratic_profile(self):
         # alpha = 1/2 collapses along (1 - 2t)^2
         for t in (0.1, 0.25, 0.4):
-            assert phi_critical(1.0, 0.5, t) == pytest.approx((1.0 - 2.0 * t) ** 2)
-
-    def test_array_input(self):
-        out = phi_critical(1.0, 0.5, np.array([0.0, 0.25, 0.5]))
-        np.testing.assert_allclose(out, [1.0, 0.25, 0.0], atol=1e-15)
-
-    def test_time_domain_guard(self):
-        with pytest.raises(DomainError):
-            phi_critical(1.0, 0.5, 0.6)
-        with pytest.raises(DomainError):
-            phi_critical(1.0, 0.5, -0.1)
+            assert _critical_orbit(1.0, 0.5, t) == pytest.approx((1.0 - 2.0 * t) ** 2)
 
     def test_matches_direct_integration(self):
         # follow the critical orbit most of the way to contact
         t_stop = 0.45
         t, p, _ = _rk4_separation(1.0, critical_velocity(1.0, 0.5), 0.5, 1e-6, t_stop, 0.0)
         assert t == pytest.approx(t_stop, abs=2e-6)
-        assert p == pytest.approx(phi_critical(1.0, 0.5, t), abs=1e-8)
+        assert p == pytest.approx(_critical_orbit(1.0, 0.5, t), abs=1e-8)
 
 
 class TestClassify:
