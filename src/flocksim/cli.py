@@ -127,9 +127,10 @@ def _check_scenario_size(n: int, d: int, box: float, speed: float) -> tuple[int,
 def generate_scenario(
     n: int, d: int, seed: int, box: float, speed: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random initial data: box-uniform positions, ball velocities."""
+    """Seeded random initial data: box-uniform positions, ball velocities.
+    Any integer ``seed`` is used modulo 2**64."""
     n, d = _check_scenario_size(n, d, box, speed)
-    rng = SplitMix64(seed)
+    rng = SplitMix64(_check_int(seed, "seed", None))
     x = np.empty((n, d))
     v = np.empty((n, d))
     for i in range(n):

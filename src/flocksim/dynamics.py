@@ -143,8 +143,8 @@ def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
     of rows ``z`` shaped ``(..., N, d)``.  The differences are reduced as one
     flat ``(M*P, d)`` array, so an entry rounds the same whatever ``M`` is."""
     pi, pj = pairs
-    diff = np.take(z, pj, axis=-2)
-    diff -= np.take(z, pi, axis=-2)
+    diff = z.take(pj, axis=-2)
+    diff -= z.take(pi, axis=-2)
     flat = diff.reshape(-1, z.shape[-1])
     out = np.einsum("pd,pd->p", flat, flat)
     np.sqrt(out, out=out)

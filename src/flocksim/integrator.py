@@ -53,16 +53,20 @@ the cap index ``n_reg`` and the system's exponent; a bounded kernel is
 integrated as it is.  The cap has that one setting, so a system built on
 a regularized kernel is rejected.  All stepping is deterministic, so
 identical configurations reproduce trajectories bitwise.
+
+The stepper is :class:`RK45`, the package's own Dormand-Prince 5(4)
+(DOPRI5) with FSAL stages and quartic dense output.  It matches scipy's
+``RK45`` bit for bit, so the solver needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_norms, pair_slots
 from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
@@ -297,6 +301,187 @@ class _SampleStore:
         y = np.array(self.ys, dtype=float).reshape(len(t), 2, self.n, self.d)
         dt = self.sample_dt
         return t, y[:, 0], y[:, 1], np.round(t / dt) * dt == t
+
+
+class _Dense:
+    """The quartic interpolant of one step, at a time (``(n,)`` out) or at a
+    1-D array of ``m`` times (``(n, m)`` out, one column per time)."""
+
+    __slots__ = ("t_old", "h", "y_old", "q")
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, q: np.ndarray):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.y_old = y_old
+        self.q = q
+
+    def __call__(self, t):
+        x = (t - self.t_old) / self.h
+        p = np.empty(self.q.shape[1:] + np.shape(x))
+        p[:] = x
+        np.cumprod(p, axis=0, out=p)
+        y = self.h * np.dot(self.q, p)
+        y += self.y_old[:, None] if y.ndim == 2 else self.y_old
+        return y
+
+
+def _constant(y: np.ndarray):
+    """The interpolant of a step of zero length, with the shapes of :class:`_Dense`."""
+    return lambda t: y if np.ndim(t) == 0 else np.repeat(y[:, None], len(t), axis=1)
+
+
+def _rms(x: np.ndarray):
+    """The stepper's error norm: the root mean square of the entries."""
+    return np.linalg.norm(x) / x.size**0.5
+
+
+class RK45:
+    """Dormand-Prince 5(4) stepper with FSAL stages and quartic dense output,
+    integrating ``y' = fun(t, y)`` forward from ``(t0, y0)`` to ``t_bound``.
+
+    The arithmetic is scipy 1.17.1's ``RK45``, operation for operation, so
+    both produce the same steps, states and dense output bit for bit: the
+    tableau, the initial-step heuristic with its extra RHS call, the
+    I-controller (safety 0.9, factor limits 0.2 to 10, exponent -1/5, no
+    growth right after a rejection), the RMS error norm, ``rtol`` raised to
+    100 machine epsilons, and the ``np.dot`` call shapes, on which BLAS
+    rounding depends.  ``step()`` advances one accepted step and returns
+    None, or sets ``status`` to ``"failed"`` and returns the reason when
+    the step would fall below ten spacings of the floats at ``t``.
+    """
+
+    C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    ])
+    B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+    E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+    # dense-output polynomial (Shampine's optimal c_6), one column per power of x
+    P = np.array([
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ])
+    # (c_s, a_s[:s]) of stages 1 to 5; stage 0 is f at the step's start, the
+    # last accepted step's final stage (FSAL)
+    STAGES = [(c, a[:s]) for s, (c, a) in enumerate(zip(C[1:], A[1:]), 1)]
+    SAFETY = 0.9
+    MIN_FACTOR = 0.2
+    MAX_FACTOR = 10
+    EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf, rtol=1e-3, atol=1e-6):
+        if t_bound < t0:
+            raise ValueError(f"RK45 integrates forward: t_bound={t_bound!r} < t0={t0!r}")
+        rtol_min = 100 * np.finfo(float).eps
+        if rtol < rtol_min:
+            warnings.warn(f"rtol={rtol!r} is below 100 machine epsilons; using {rtol_min!r}",
+                          stacklevel=2)
+            rtol = rtol_min
+        self.fun = fun
+        self.t_old = None
+        self.t = t0
+        self.y = np.asarray(y0, dtype=float)
+        self.y_old = None
+        self.t_bound = t_bound
+        self.max_step = max_step
+        self.rtol = rtol
+        self.atol = atol
+        self.status = "running"
+        self.f = fun(t0, self.y)
+        self.h_abs = self._initial_step()
+        self.K = np.empty((7, self.y.size))
+
+    def _initial_step(self) -> float:
+        """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4),
+        at one RHS call unless the span is empty."""
+        t0, y0, f0 = self.t, self.y, self.f
+        span = self.t_bound - t0
+        if span == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, span, self.max_step)
+
+    def step(self):
+        t, y = self.t, self.y
+        if t == self.t_bound:
+            self.t_old = t
+            self.status = "finished"
+            return None
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            y_new, f_new = self._attempt(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(np.dot(self.K.T, self.E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR, self.SAFETY * error_norm**self.EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs = h * factor
+                break
+            h_abs = h * max(self.MIN_FACTOR, self.SAFETY * error_norm**self.EXPONENT)
+            rejected = True
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.h_abs = h_abs
+        if t_new == self.t_bound:
+            self.status = "finished"
+        return None
+
+    def _attempt(self, t, y, h):
+        """One Runge-Kutta attempt of size ``h``: the 5th-order state and its
+        derivative, with the stages left in ``K`` for the error and the
+        dense output."""
+        K = self.K
+        K[0] = self.f
+        for s, (c, a) in enumerate(self.STAGES, 1):
+            dy = np.dot(K[:s].T, a) * h
+            K[s] = self.fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def dense_output(self):
+        """The interpolant over the last accepted step."""
+        if self.t == self.t_old:
+            return _constant(self.y)
+        return _Dense(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
 
 
 def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config: SolverConfig):

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,8 +41,11 @@ __all__ = [
 def _finite_real(value) -> bool:
     """Whether ``value`` is a finite real number.  Each numeric rule asks
     this before it compares, so text, None and NaN fail by the rule's own
-    message rather than as a bare TypeError."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    message rather than as a bare TypeError.  Integers are finite, also
+    those beyond the float range, on which ``math.isfinite`` overflows."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value)
+    )
 
 
 def _check_alpha(alpha) -> None:
@@ -54,10 +58,11 @@ def _check_positive(value, key: str) -> None:
         raise DomainError(f"{key} must be positive and finite, got {value!r}", key=key)
 
 
-def _check_int(n, key: str, least: int) -> int:
-    """An integer ``n`` of at least ``least``, as an int."""
-    if not (_finite_real(n) and int(n) == n and n >= least):
-        raise DomainError(f"{key} must be an integer >= {least}, got {n!r}", key=key)
+def _check_int(n, key: str, least: Optional[int]) -> int:
+    """An integer ``n``, of at least ``least`` unless that is None, as an int."""
+    if not (_finite_real(n) and int(n) == n and (least is None or n >= least)):
+        rule = "an integer" if least is None else f"an integer >= {least}"
+        raise DomainError(f"{key} must be {rule}, got {n!r}", key=key)
     return int(n)
 
 
@@ -98,12 +103,12 @@ class RegularizedKernel:
         _check_alpha(self.alpha)
         object.__setattr__(self, "n", _check_int(self.n, "n", 2))
 
-    @property
+    @cached_property
     def cap_end(self) -> float:
         """Right end of the constant branch, ``n**(-1/alpha)``."""
         return float(self.n) ** (-1.0 / self.alpha)
 
-    @property
+    @cached_property
     def bridge_end(self) -> float:
         """Left end of the inverse-power branch, ``(n-1)**(-1/alpha)``."""
         return float(self.n - 1) ** (-1.0 / self.alpha)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError
 from .kernels import CuckerSmaleKernel, _check_alpha, _check_int, _check_positive, _finite_real
@@ -111,6 +110,8 @@ def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
     if c == 0.0:
         return StickFiniteTime(t0=stick_time(problem.phi0, problem.alpha))
     if c < 0.0:
+        from scipy.integrate import quad  # here, so that importing flocksim loads no scipy
+
         speed = -c
         # Time to contact: integrate d phi / |phi'| with |phi'| = 2 P(phi) + |c|.
         val, _ = quad(
@@ -188,6 +189,8 @@ def bounded_weight_floor_check(
     _check_positive(phi0, "phi0")
     _check_floor_rate(dphi0)
     _check_positive(t_end, "t_end")
+    from scipy.integrate import solve_ivp  # here, so that importing flocksim loads no scipy
+
     kernel = CuckerSmaleKernel(K=K, beta=beta)
 
     def rhs(t, y):

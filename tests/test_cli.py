@@ -264,6 +264,18 @@ class TestParseErrors:
     def test_scenario_size_rule(self, library_call, key, value, cli):
         _assert_one_rule(f"must be an integer >= 1, got {value!r}", library_call, key, cli)
 
+    @pytest.mark.parametrize("value", [2.5, None, math.nan], ids=["fraction", "none", "nan"])
+    def test_seed_rule(self, value):
+        # 2.5 drew the seed-2 scenario, None and NaN raised bare errors
+        _assert_one_rule(f"must be an integer, got {value!r}",
+                         lambda: generate_scenario(3, 1, value, box=1.0, speed=1.0), "seed")
+
+    @pytest.mark.parametrize("seed", [-5, 10**400])
+    def test_any_integer_seed_is_used_modulo_2_64(self, seed):
+        system = build_system(parse_config(GEN_TEXT.replace("seed = 1", f"seed = {seed}")).scenario)
+        x, v = generate_scenario(3, 1, seed % 2**64, box=1.0, speed=1.0)
+        assert np.array_equal(system.x, x) and np.array_equal(system.v, v)
+
     def test_whole_float_counts_are_used_as_ints(self):
         x, v = generate_scenario(3.0, 2.0, 1, box=1.0, speed=1.0)
         assert x.shape == v.shape == (3, 2)

@@ -330,23 +330,130 @@ class TestSegmentApi:
         assert gap > 1e-6
 
 
+def _spans():
+    """The benchmark's tracer module, loaded from ``perfbench/spans.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestBenchmarkTracer:
     def test_tracer_counts_the_readme_pair(self):
         # the benchmark's per-layer split wraps the solver's entry points
         # from outside the package, so a renamed or bypassed layer drops out
         # of its counts; the README's critical pair passes each layer once
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
         classify_event = integrator.classify_event
-        with spans.Tracer() as tracer:
+        with _spans().Tracer() as tracer:
             traj = integrator.solve_piecewise(_two_body(2.0), SolverConfig(t_end=0.7))
         assert integrator.classify_event is classify_event
         assert [e.kind for e in traj.events] == [STICKING]
         keys = ("events", "events.Sticking", "stick_fit.calls", "stick_fit.hits", "probe.calls", "segments")
         assert {k: tracer.counts[k] for k in keys} == dict.fromkeys(keys, 1)
         assert tracer.counts["rhs.main"] > 0 and tracer.counts["rhs.probe"] > 0
+
+
+    @pytest.mark.parametrize(
+        "n,t_end,rhs_calls,events", [(16, 1.0, 33_172, 47), (32, 0.5, 68_890, 116)]
+    )
+    def test_storm_step_sequence(self, n, t_end, rhs_calls, events):
+        # the ROADMAP baseline storms: any change to the step sequence (the
+        # stepper's arithmetic, its controller or norm, a segment's restart)
+        # moves these counts, so such a change must pass the accuracy gate
+        # and re-pin them
+        x, v = generate_scenario(n, 1, 3, box=1.0, speed=5.0)
+        with _spans().Tracer() as tracer:
+            system = make_system(x, v, SingularKernel(alpha=0.5))
+            traj = solve_piecewise(system, SolverConfig(t_end=t_end))
+        assert len(traj.events) == tracer.counts["events"] == events
+        assert {e.kind for e in traj.events} == {NON_STICK}
+        assert tracer.counts["rhs.main"] + tracer.counts["rhs.probe"] == rhs_calls
+
+
+def _steps_of(stepper, fun, t0, y0, t_bound, **tol):
+    """Per accepted step of ``stepper``: t_old, t, y, the dense output on the
+    (n, _NSUB + 1) subsample block and at the midpoint, and the RHS calls so
+    far; then the failure message, or None."""
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    solver = stepper(counted, t0, np.array(y0, dtype=float), t_bound, **tol)
+    steps = []
+    while solver.status == "running":
+        msg = solver.step()
+        if solver.status == "failed":
+            return steps, msg
+        dense = solver.dense_output()
+        block = dense(np.linspace(solver.t_old, solver.t, _NSUB + 1))
+        mid = dense(0.5 * (solver.t_old + solver.t))
+        steps.append((solver.t_old, solver.t, solver.y.tobytes(), block.shape, block.tobytes(),
+                      mid.shape, mid.tobytes(), len(calls)))
+    return steps, None
+
+
+def _storm_rhs():
+    x, v = generate_scenario(16, 1, 3, box=1.0, speed=5.0)
+    driver = _Driver(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig())
+    return driver.rhs, np.concatenate([x.ravel(), v.ravel()])
+
+
+def _head_on_rhs():
+    system = _two_body(2.5)
+    driver = _Driver(system, SolverConfig())
+    return driver.rhs, np.concatenate([system.x.ravel(), system.v.ravel()])
+
+
+_TOL = dict(max_step=1e-2, rtol=1e-9, atol=1e-12)  # the SolverConfig defaults
+
+
+class TestStepperOracle:
+    """The package's RK45 copies the arithmetic of scipy's, so the two agree
+    bit for bit on every step, dense value and RHS call."""
+
+    @staticmethod
+    def _assert_as_scipy(fun, t0, y0, t_bound, **tol):
+        from scipy.integrate import RK45
+
+        ours = _steps_of(integrator.RK45, fun, t0, y0, t_bound, **tol)
+        assert ours == _steps_of(RK45, fun, t0, y0, t_bound, **tol)
+        return ours
+
+    @pytest.mark.parametrize(
+        "rhs,t_bound", [(_storm_rhs, 0.1), (_head_on_rhs, 0.7)], ids=["storm", "head_on"]
+    )
+    def test_rejections_and_dense_output(self, rhs, t_bound):
+        fun, y0 = rhs()
+        steps, msg = self._assert_as_scipy(fun, 0.0, y0, t_bound, **_TOL)
+        assert msg is None and steps[-1][1] == t_bound
+        # more than the six calls per accepted step and two to start: the
+        # controller rejected attempts, and the copies agree through them
+        assert steps[-1][-1] > 6 * len(steps) + 2
+
+    def test_lands_on_the_bound(self):
+        fun, y0 = _head_on_rhs()
+        steps, _ = self._assert_as_scipy(fun, 0.1, y0, 0.1234567, **_TOL)
+        assert steps[-1][1] == 0.1234567
+
+    def test_zero_span(self):
+        # a crossing found at the segment's end starts a probe with t0 == t_bound
+        fun, y0 = _head_on_rhs()
+        steps, _ = self._assert_as_scipy(fun, 0.3, y0, 0.3, **_TOL)
+        assert len(steps) == 1 and steps[0][-1] == 1
+
+    def test_rtol_below_100_eps_is_raised(self):
+        fun, y0 = _head_on_rhs()
+        with pytest.warns(UserWarning):
+            self._assert_as_scipy(fun, 0.0, y0, 0.05, max_step=1e-2, rtol=1e-17, atol=1e-15)
+
+    def test_step_underflow_fails_with_scipy_message(self):
+        # y' = y**2 from y = 1 blows up at t = 1
+        steps, msg = self._assert_as_scipy(lambda t, y: y * y, 0.0, [1.0], 2.0, rtol=1e-6, atol=1e-9)
+        assert msg == "Required step size is less than spacing between numbers."
+        assert abs(steps[-1][1] - 1.0) < 1e-3
 
 
 class TestDriverBlocks:

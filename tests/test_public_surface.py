@@ -4,8 +4,11 @@ example runs as written.  A name deleted from a module but left in an
 here rather than in a user's hands."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import flocksim
@@ -30,3 +33,25 @@ def test_readme_python_example(capsys):
     kind, t_event = capsys.readouterr().out.split()
     assert kind == "Sticking"
     assert abs(float(t_event) - 0.5) < 1e-3
+
+
+_IMPORT_GUARD = """
+import sys
+import flocksim.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from flocksim.twobody import TwoBodyProblem, bounded_weight_floor_check, classify
+print(type(classify(TwoBodyProblem(phi0=1.0, dphi0=-5.0, alpha=0.5))).__name__)
+print(bounded_weight_floor_check(1.0, -1.0, 1.0, 2.0, t_end=0.5).ok)
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    # the solver is numpy-only; scipy loads when the two-body collide-time
+    # quadrature or the bounded-weight floor check first runs, and both
+    # still work then
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split("\n")
+    assert out[:3] == ["[]", "CollideNonstick", "True"]
