@@ -493,7 +493,7 @@ def _cmd_twobody(config: RunConfig, out: Path) -> None:
 def _cmd_converge(config: RunConfig, out: Path) -> None:
     system = build_system(config.scenario)
     runs = run_family(system.x, system.v, config.scenario.alpha, config.n_list, config.solver)
-    report = cauchy_table(runs, config.n_list)
+    report = cauchy_table(runs)
     lines = ["n,sup_dx,sup_dv,reference_gap_x,reference_gap_v"]
     for k, n in enumerate(report.n_list):
         dx = _fmt(report.sup_dx[k - 1]) if k > 0 else ""

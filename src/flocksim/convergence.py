@@ -89,11 +89,10 @@ def _sup_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("snd,snd->sn", diff, diff)).max())
 
 
-def cauchy_table(runs: list[PiecewiseTrajectory], n_list) -> ConvergenceReport:
-    """Consecutive and against-largest sup-norm gaps on the common grid."""
-    ns = _check_n_list(n_list)
-    if len(runs) != len(ns):
-        raise DomainError(f"{len(runs)} runs for {len(ns)} cap indices")
+def cauchy_table(runs: list[PiecewiseTrajectory]) -> ConvergenceReport:
+    """Consecutive and against-largest sup-norm gaps on the common grid of
+    ``runs``, whose cap indices (``run.config.n_reg``) must increase."""
+    ns = _check_n_list([run.config.n_reg for run in runs])
     grids = _grid_arrays(runs)
     ref_x, ref_v = grids[-1]
     sup_dx = np.array([_sup_gap(grids[k + 1][0], grids[k][0]) for k in range(len(ns) - 1)])

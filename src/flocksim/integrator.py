@@ -20,23 +20,24 @@ far.  There is one crossing search, per candidate: a pair at or below
 the subinterval, and any other is first searched for its closest approach
 by golden section, which brackets the crossing of one that dips below and
 climbs back out between columns.  The earliest crossing in the column
-wins, and a probe phase takes over there.
+wins, and its pair and the search tolerance pass to a probe phase.
 
-The probe integrates through the encounter at full resolution.  Per step
-it grows the proximal group of cluster roots over the root-pair gaps it
-already holds, and takes the group's diameter (largest gap) and velocity
-spread (largest pair speed) over the root pairs inside it: a cluster's
-rows coincide, so these are the largest over all its members.  Only the
-event lists the member particles.  The probe builds the event itself and
-ends in one of four dispositions:
+The probe steps through the encounter with the main phase's settings,
+watching that pair and each pair inside ``d_stick`` that touches the
+group.  Per step it grows the group of cluster roots from that pair over
+the root-pair gaps, and takes the group's diameter (largest gap) and
+velocity spread (largest pair speed) over the root pairs inside it: a
+cluster's rows coincide, so these are the largest over all its members.
+The closest approach and ``min_dist`` are over the watched pairs.  The
+probe builds the event, listing the member particles, and ends in one of
+four dispositions:
 
 * ``stick``   -- the group diameter and spread fell below the sticking
   thresholds and the collapse either went deep (diameter below
-  ``d_stick/256``) or visibly stalled.  The event time is refined by a
-  least-squares fit of the power-law collapse ``t = t0 - C * diam**alpha``
-  over the monitor rows above the cap region of the working kernel, where
-  the regularized and singular weights coincide and the collapse follows
-  the singular profile.
+  ``d_stick/256``) or visibly stalled.  The event time is a least-squares
+  fit of the power-law collapse ``t = t0 - C * diam**alpha`` over the
+  monitor rows above the working kernel's cap region, where the collapse
+  follows the singular profile, or the certifying step if the fit fails.
 * ``rebound`` -- every watched pair climbed back above ``d_stick``.  Only
   here is the closest-approach time refined, by golden-section search on
   the dense output; the event is a sticking if the spread there is below
@@ -98,6 +99,7 @@ _STALL_RATE_FACTOR = 100.0  # stall when |d diam/dt| < v_stick / this
 _FIT_MIN_POINTS = 8
 _FIT_RESIDUAL_FRAC = 0.02
 _MAX_PROBE_STEPS = 50_000
+_SUB_FRACTIONS = np.arange(_NSUB + 1) / _NSUB
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,6 @@ class _Driver:
         self.watch = self.pairs if part.n_clusters == self.n else part.root_pairs()
         self.pi, self.pj = self.watch
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pi)
-
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         x = y[: self.nd].reshape(self.n, self.d)
         v = y[self.nd :].reshape(self.n, self.d)
@@ -232,13 +230,11 @@ class _Driver:
         span = v.max(axis=0) - v.min(axis=0)
         return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
 
-    def component(self, dists: np.ndarray, threshold: float) -> tuple[int, np.ndarray]:
-        """The closest watched pair (index into the root-pair distances
-        ``dists``) and the ``(n,)`` mask of the cluster roots reachable
-        from it through root-pair gaps <= threshold."""
+    def component(self, dists: np.ndarray, threshold: float, seed: int) -> np.ndarray:
+        """The ``(n,)`` mask of the cluster roots reachable from the watched
+        pair ``seed`` through root-pair gaps ``dists`` <= threshold."""
         close = dists <= threshold
         pi, pj = self.pi[close], self.pj[close]
-        seed = int(np.argmin(dists))
         reach = np.zeros(self.n, dtype=bool)
         reach[[self.pi[seed], self.pj[seed]]] = True
         size = 0
@@ -246,7 +242,7 @@ class _Driver:
             size = reach.sum()
             link = reach[pi] | reach[pj]
             reach[pi[link]] = reach[pj[link]] = True
-        return seed, reach
+        return reach
 
     def members(self, roots: np.ndarray) -> tuple[int, ...]:
         """The particles of the clusters whose roots the mask ``roots`` marks."""
@@ -496,6 +492,15 @@ def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config:
     )
 
 
+def _subsample_times(t_prev: float, t_now: float) -> np.ndarray:
+    """numpy's ``linspace(t_prev, t_now, _NSUB + 1)`` bit for bit, unless the
+    span is subnormal: its ``k * (span / _NSUB)`` and ``(k / _NSUB) * span``
+    here round the same product, as dividing by a power of two is exact."""
+    ts = _SUB_FRACTIONS * (t_now - t_prev) + t_prev
+    ts[-1] = t_now
+    return ts
+
+
 def _steps(solver, where: str):
     """Step ``solver`` to its bound, yielding ``(t_old, t, y, dense)`` per step."""
     while solver.status == "running":
@@ -546,20 +551,21 @@ def _probe(
     driver: _Driver,
     t_cross: float,
     y_cross: np.ndarray,
+    seed: int,
     t_bound: float,
-    span: float,
+    tol: float,
     config: SolverConfig,
     store: _SampleStore,
 ) -> tuple[CollisionEvent, float, np.ndarray]:
-    """Resolve the encounter that begins at the d_stick crossing: its event,
-    and the time and state at which the probe stopped."""
+    """Resolve the encounter of the watched pair ``seed``, which crossed
+    d_stick at ``t_cross`` (found to ``tol``): its event, and the time and
+    state at which the probe stopped."""
     d_stick = config.d_stick
     v_stick = config.v_stick
-    phi_deep = d_stick / _PHI_DEEP_FACTOR
 
     dists = driver.pair_dists(y_cross)
-    seed, roots = driver.component(dists, d_stick * (1.0 + 1e-9))
-    watch = np.zeros(driver.n_pairs, dtype=bool)
+    roots = driver.component(dists, d_stick * (1.0 + 1e-9), seed)
+    watch = np.zeros(len(driver.pi), dtype=bool)
     watch[seed] = True
 
     solver = _stepper(driver, t_cross, y_cross, t_bound, config)
@@ -576,10 +582,10 @@ def _probe(
 
     steps = _steps(solver, "during encounter probe")
     for k, (t_prev, t_now, y_now, dense) in enumerate(steps, 1):
-        # track the closest approach at subsample resolution: the first
-        # column holding the smallest distance, if it beats the best so far
-        ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
-        col_min = driver.pair_dists(dense(ts_sub)[:, 1:]).min(axis=1)
+        # track the watched pairs' closest approach at subsample resolution:
+        # the first column holding the smallest gap, if it beats the best so far
+        ts_sub = _subsample_times(t_prev, t_now)
+        col_min = driver.pair_dists(dense(ts_sub)[:, 1:])[:, watch].min(axis=1)
         c = int(np.argmin(col_min))
         if k == 1:
             # until a column beats the crossing distance, the closest
@@ -604,7 +610,7 @@ def _probe(
             disposition = "rebound"
             break
 
-        _, roots = driver.component(dists, d_stick)
+        roots = driver.component(dists, d_stick, seed)
         diam, spread = driver.group_stats(y_now, dists, roots)
         mon_t.append(t_now)
         mon_diam.append(diam)
@@ -616,30 +622,26 @@ def _probe(
                 if dt_lb > 0.0:
                     rate = abs(mon_diam[-1] - mon_diam[-1 - _STALL_LOOKBACK]) / dt_lb
                     stalled = rate < v_stick / _STALL_RATE_FACTOR
-            if diam < phi_deep or stalled:
+            if diam < d_stick / _PHI_DEEP_FACTOR or stalled:
                 disposition = "stick"
                 break
         if k == _MAX_PROBE_STEPS:
             disposition = "budget"
             break
 
-    # the event sits at the last step, except a rebound's, which is refined
-    # to the closest approach inside its bracketing subinterval; a
-    # collapse's time is the later of that step and the power-law fit
+    # the event sits at the last step, except a rebound's, refined to the
+    # closest approach in its bracket, and a collapse's with a passing fit
     t_event = t_cur
-    min_dist = float(dists.min())
     if disposition == "rebound":
-        tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
-        t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s)).min(), best_lo, best_hi, tol)
+        t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s))[watch].min(), best_lo, best_hi, tol)
         y_min = best_dense(t_event)
         dists = driver.pair_dists(y_min)
-        seed, roots = driver.component(dists, d_stick)
-        min_dist = float(dists[seed])
+        roots = driver.component(dists, d_stick, seed)
         _, spread = driver.group_stats(y_min, dists, roots)
     elif disposition == "stick":
         t_fit = _stick_time_fit(mon_t, mon_diam, driver, config)
-        if t_fit is not None:
-            t_event = max(t_event, t_fit)
+        t_event = t_cur if t_fit is None else t_fit
+    min_dist = float(dists[watch].min())
 
     event = classify_event(disposition, float(t_event), driver.members(roots), spread, min_dist, config)
     return event, float(t_cur), np.array(y_cur, dtype=float)
@@ -654,7 +656,6 @@ def _run_segment(
 ) -> tuple[float, ParticleSystem, Optional[CollisionEvent]]:
     driver = _Driver(system, config)
     y0 = np.concatenate([system.x.ravel(), system.v.ravel()])
-    span = t1 - t0
     store.emit(t0, y0)
     solver = _stepper(driver, t0, y0, t1, config)
 
@@ -662,12 +663,12 @@ def _run_segment(
     # they climb back out, so a fresh segment does not instantly retrigger
     d_stick = config.d_stick
     armed = driver.pair_dists(y0) > d_stick
-    tol = max(_BISECT_TOL_FACTOR * span, 1e-15)
+    tol = max(_BISECT_TOL_FACTOR * (t1 - t0), 1e-15)
 
     t_end, y_end, event = t1, y0, None
-    steps = _steps(solver, f"below {_BISECT_TOL_FACTOR * span:.3e} while advancing the segment")
+    steps = _steps(solver, f"below {tol:.3e} while advancing the segment")
     for t_prev, t_now, y_now, dense in steps:
-        ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
+        ts_sub = _subsample_times(t_prev, t_now)
         ys_sub = dense(ts_sub)
         dists = driver.pair_dists(ys_sub)
         # row c of the block masks describes the subinterval that ends at
@@ -692,7 +693,7 @@ def _run_segment(
         # per column with candidates, each one's crossing is bracketed: a
         # hit's by the subinterval, a dip's up to its closest approach found
         # by golden section; the earliest crossing in the column wins
-        crossing_t = None
+        crossing_t = crossing_k = None
         for c in np.flatnonzero(chase.any(axis=1)):
             t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
             for k in np.flatnonzero(chase[c]):
@@ -707,7 +708,7 @@ def _run_segment(
                         continue
                 t_c = _bisect_crossing(gap, d_stick, t_lo, t_in, tol)
                 if crossing_t is None or t_c < crossing_t:
-                    crossing_t = t_c
+                    crossing_t, crossing_k = t_c, k
             if crossing_t is not None:
                 break
         armed = armed[-1]
@@ -716,7 +717,7 @@ def _run_segment(
             y_cross = dense(crossing_t)
             store.emit_grid_range(dense, t_prev, crossing_t)
             store.emit(crossing_t, y_cross)
-            event, t_end, y_end = _probe(driver, crossing_t, y_cross, t1, span, config, store)
+            event, t_end, y_end = _probe(driver, crossing_t, y_cross, crossing_k, t1, tol, config, store)
             break
         store.emit_grid_range(dense, t_prev, t_now)
         y_end = y_now

@@ -175,6 +175,27 @@ def _check_floor_rate(dphi0: float) -> None:
         raise DomainError("the speed floor needs a nonzero initial rate", key="dphi0")
 
 
+def _floor_samples(phi0: float, dphi0: float, kernel: CuckerSmaleKernel, t_end: float):
+    """The floor check's sample times and ``(phi, phi')`` there, read from
+    the dense output of the first step that reaches each time."""
+    from .integrator import RK45, _steps  # here: integrator imports this module
+
+    def rhs(t, y):
+        phi, dphi = y
+        # the bounded weight is plain arithmetic, safe on scalars
+        return np.array([dphi, -2.0 * dphi * kernel.weight(abs(phi))])
+
+    ts = np.linspace(0.0, t_end, int(round(t_end / 1e-2)) + 1)
+    ys = np.empty((2, len(ts)))
+    solver = RK45(rhs, 0.0, np.array([phi0, dphi0]), t_end, max_step=1e-2, rtol=1e-11, atol=1e-13)
+    done = 0
+    for _, t, _, dense in _steps(solver, "in the floor check"):
+        upto = int(np.searchsorted(ts, t, side="right"))
+        ys[:, done:upto] = dense(ts[done:upto])
+        done = upto
+    return ts, ys
+
+
 def bounded_weight_floor_check(
     phi0: float, dphi0: float, K: float, beta: float, t_end: float
 ) -> FloorCheckResult:
@@ -184,33 +205,12 @@ def bounded_weight_floor_check(
     checks ``|phi'(t)| >= exp(-2 K t) |phi'(0)|`` on a uniform sample grid.
     Returns the minimum of the ratio of the two sides and whether it stays
     above ``1 - 1e-6``.  A resting pair (``dphi0 == 0``) has no floor to
-    check and is rejected.
+    check and is rejected; a failed integration raises the solver's error.
     """
     _check_positive(phi0, "phi0")
     _check_floor_rate(dphi0)
     _check_positive(t_end, "t_end")
-    from scipy.integrate import solve_ivp  # here, so that importing flocksim loads no scipy
-
-    kernel = CuckerSmaleKernel(K=K, beta=beta)
-
-    def rhs(t, y):
-        phi, dphi = y
-        # the bounded weight is plain arithmetic, safe on scalars
-        return [dphi, -2.0 * dphi * kernel.weight(abs(phi))]
-
-    ts = np.linspace(0.0, t_end, int(round(t_end / 1e-2)) + 1)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [phi0, dphi0],
-        method="RK45",
-        t_eval=ts,
-        rtol=1e-11,
-        atol=1e-13,
-        max_step=1e-2,
-    )
-    if not sol.success:
-        raise DomainError(f"floor check integration failed: {sol.message}")
-    ratio = np.abs(sol.y[1]) / (np.exp(-2.0 * K * sol.t) * abs(dphi0))
+    ts, ys = _floor_samples(phi0, dphi0, CuckerSmaleKernel(K=K, beta=beta), t_end)
+    ratio = np.abs(ys[1]) / (np.exp(-2.0 * K * ts) * abs(dphi0))
     min_ratio = float(ratio.min())
     return FloorCheckResult(min_ratio=min_ratio, ok=min_ratio >= 1.0 - 1e-6)

@@ -111,13 +111,13 @@ def test_criterion_10_regularized_family_convergence():
     x = np.array([[-0.5], [0.5]])
     config = SolverConfig()
     runs = run_family(x, np.array([[2.0], [-2.0]]), 0.5, (10, 100, 1000, 10000), config)
-    ref_v = cauchy_table(runs, (10, 100, 1000, 10000)).reference_gap_v
+    ref_v = cauchy_table(runs).reference_gap_v
     assert all(ref_v[k + 1] <= 2.0 * ref_v[k] for k in range(len(ref_v) - 1))
     assert ref_v[-1] < ref_v[0]
 
     # the subcritical pair never leaves the region where all caps agree
     runs = run_family(x, np.array([[0.5], [-0.5]]), 0.5, (5, 50, 500), config)
-    report = cauchy_table(runs, (5, 50, 500))
+    report = cauchy_table(runs)
     assert report.sup_dx.max() <= 1e-8
     assert report.sup_dv.max() <= 1e-8
     assert report.reference_gap_x.max() <= 1e-8

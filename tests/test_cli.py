@@ -594,3 +594,16 @@ class TestExitCodes:
         )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "segment" in capsys.readouterr().err
+
+    def test_failed_floor_check_is_a_runtime_failure(self, tmp_path, capsys):
+        # a rate near the float limit overflows the state and the step
+        # size underflows: a numerical failure, not an invalid input
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(
+            "[scenario]\nkernel = cucker_smale\n[twobody]\nphi0 = 1.0\ndphi0 = 1e308\n",
+            encoding="utf-8",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["twobody", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "step size underflow in the floor check" in capsys.readouterr().err

@@ -21,7 +21,7 @@ def critical_family():
     # critical approach for alpha=0.5; the outcome depends on the cap
     x, v = _head_on(2.0)
     runs = run_family(x, v, 0.5, (10, 100, 1000), SolverConfig(t_end=2.0))
-    return runs, cauchy_table(runs, (10, 100, 1000))
+    return runs, cauchy_table(runs)
 
 
 class TestRunFamily:
@@ -69,7 +69,7 @@ class TestCauchyTable:
         # the capped weights seen along the orbit agree bitwise across caps
         x, v = _head_on(0.5)
         runs = run_family(x, v, 0.5, (5, 50, 500), SolverConfig())
-        report = cauchy_table(runs, (5, 50, 500))
+        report = cauchy_table(runs)
         assert np.all(report.sup_dx == 0.0)
         assert np.all(report.sup_dv == 0.0)
         assert np.all(report.reference_gap_x == 0.0)
@@ -85,23 +85,18 @@ class TestCauchyTable:
 
     def test_two_member_reference_matches_consecutive(self, critical_family):
         runs, _ = critical_family
-        report = cauchy_table(runs[:2], (10, 100))
+        report = cauchy_table(runs[:2])
         assert report.reference_gap_x[0] == report.sup_dx[0]
         assert report.reference_gap_v[0] == report.sup_dv[0]
-
-    def test_run_count_mismatch(self, critical_family):
-        runs, _ = critical_family
-        with pytest.raises(DomainError, match="2 runs for 3"):
-            cauchy_table(runs[:2], (10, 100, 1000))
 
     def test_grid_mismatch_rejected(self):
         x = np.array([[0.0], [1.0]])
         v = np.array([[1.0], [1.0]])
         kernel = SingularKernel(alpha=0.5)
-        a = solve_piecewise(make_system(x, v, kernel), SolverConfig(t_end=1.0, sample_dt=0.5))
-        b = solve_piecewise(make_system(x, v, kernel), SolverConfig(t_end=1.0, sample_dt=0.4))
+        a = solve_piecewise(make_system(x, v, kernel), SolverConfig(t_end=1.0, sample_dt=0.5, n_reg=5))
+        b = solve_piecewise(make_system(x, v, kernel), SolverConfig(t_end=1.0, sample_dt=0.4, n_reg=50))
         with pytest.raises(DomainError, match="grids do not match"):
-            cauchy_table([a, b], (5, 50))
+            cauchy_table([a, b])
 
 
 class TestReportValidation:

@@ -7,6 +7,7 @@ orbit by kappa = (1 + 2**(1-alpha))/3.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from flocksim import (
     ContinuationError,
     CuckerSmaleKernel,
+    DivergenceError,
     DomainError,
+    LocalizationError,
     NON_STICK,
     RegularizedKernel,
     STICKING,
@@ -138,6 +141,16 @@ class TestCriticalSticking:
         means = traj.v.mean(axis=1)
         np.testing.assert_allclose(means, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.6, 0.7])
+    def test_fit_sets_the_stick_time(self, alpha):
+        # from alpha 0.6 the spread falls below v_stick only inside the cap
+        # region, after the collapse; the power-law fit, not that later
+        # step, sets the time (the step was 4.8e-7 and 1.0e-5 late)
+        t_stick = stick_time(1.0, alpha)
+        traj = critical_two_body(alpha, t_end=1.2 * t_stick)
+        assert [e.kind for e in traj.events] == [STICKING]
+        assert abs(traj.events[0].t_event - t_stick) <= 1e-8
+
 
 class TestTwoClusterCollapse:
     """Clusters of m and N-m coincident particles closing at the critical
@@ -226,6 +239,26 @@ class TestReboundAndStall:
         traj = solve_piecewise(_two_body(2.0), SolverConfig(t_end=0.4999))
         assert [e.kind for e in traj.events] == [UNRESOLVED]
         assert traj.events[0].t_event == pytest.approx(0.4999, abs=1e-6)
+
+    def test_unresolved_when_probe_budget_runs_out(self, monkeypatch):
+        # the run ends just after the collapse time 0.5: the pair is left
+        # unmerged inside the cap region, where every further step is short
+        monkeypatch.setattr(integrator, "_MAX_PROBE_STEPS", 3)
+        traj = solve_piecewise(_two_body(2.0), SolverConfig(t_end=0.5001))
+        assert [(e.kind, e.group) for e in traj.events] == [(UNRESOLVED, (0, 1))]
+        assert traj.events[0].t_event == pytest.approx(0.49960, abs=1e-5)
+
+    def test_probe_resolves_the_watched_crossing(self):
+        # rows 0 and 1 start in contact, so their pair is disarmed and stays
+        # the closest; rows 2 and 3 cross head-on.  The probe resolves the
+        # pair whose crossing the watch found, not the closest one
+        x = np.array([[0.0], [0.0], [10.0], [10.002]])
+        v = np.array([[-1e-3], [1e-3], [10.0], [-10.0]])
+        system = make_system(x, v, SingularKernel(alpha=0.5))
+        traj = solve_piecewise(system, SolverConfig(t_end=2e-4, sample_dt=1e-5))
+        assert [(e.kind, e.group) for e in traj.events] == [(NON_STICK, (2, 3))]
+        assert traj.events[0].t_event == pytest.approx(1.0015e-4, rel=1e-4)
+        assert traj.events[0].rel_speed == pytest.approx(19.91, rel=1e-3)
 
 
 class TestDeterminismAndStability:
@@ -456,6 +489,39 @@ class TestStepperOracle:
         assert abs(steps[-1][1] - 1.0) < 1e-3
 
 
+class TestStepFailures:
+    def test_underflow_names_the_phase(self):
+        # y' = y**2 from y = 1 blows up at t = 1
+        solver = integrator.RK45(lambda t, y: y * y, 0.0, np.array([1.0]), 2.0, rtol=1e-6, atol=1e-9)
+        with pytest.raises(LocalizationError, match="step size underflow in the phase: Required"):
+            list(integrator._steps(solver, "in the phase"))
+
+    def test_overflow_is_divergence(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            solver = integrator.RK45(lambda t, y: np.array([1e308]), 0.0, np.array([0.0]), 5.0)
+            with pytest.raises(DivergenceError, match=r"non-finite state at t=5\.0"):
+                list(integrator._steps(solver, "in the phase"))
+
+
+class TestSubsampleTimes:
+    @given(
+        t_prev=st.floats(0.0, 1e3),
+        span=st.one_of(st.floats(0.0, 1e2), st.integers(0, 40)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_linspace(self, t_prev, span):
+        # a float span is added to t_prev; an integer one counts its ulps.
+        # subnormal spans (a few ulps of 0.0) round differently; no step is that short
+        t_now = t_prev + span
+        if isinstance(span, int):
+            t_now = t_prev
+            for _ in range(span):
+                t_now = math.nextafter(t_now, math.inf)
+        assume(t_now == t_prev or t_now - t_prev >= 2.0**-1019)
+        ts = integrator._subsample_times(t_prev, t_now)
+        assert ts.tobytes() == np.linspace(t_prev, t_now, _NSUB + 1).tobytes()
+
+
 class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_rows_equal_single_columns(self, d):
@@ -468,12 +534,12 @@ class TestDriverBlocks:
         v = rng.normal(size=(n, d))
         x[3], v[3], x[5], v[5] = x[0], v[0], x[2], v[2]
         driver = _Driver(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig())
-        assert driver.n_pairs == 10
+        assert len(driver.pi) == 10
         block = rng.normal(size=(2 * n * d, _NSUB + 1)) * 10.0 ** rng.integers(-6, 2, _NSUB + 1)
         for method in (driver.pair_dists, driver.pair_rel_speeds):
             rows = method(block)
             cols = np.stack([method(block[:, c]) for c in range(_NSUB + 1)])
-            assert rows.shape == (_NSUB + 1, driver.n_pairs)
+            assert rows.shape == (_NSUB + 1, len(driver.pi))
             assert rows.tobytes() == cols.tobytes()
 
     @given(
@@ -510,10 +576,10 @@ class TestDriverBlocks:
     )
     @settings(max_examples=100, deadline=None)
     def test_component_matches_dense_reachability(self, seed, n, d, n_clusters, data):
-        # clusters are coincident rows, so equal gaps tie both the closest
-        # pair and thresholds drawn from the gaps; the reference grows the
-        # group over the dense N x N separations, same-cluster zeros included,
-        # and takes its diameter and spread over all its member pairs
+        # clusters are coincident rows, so equal gaps tie thresholds drawn
+        # from the gaps; the reference grows the group from the seed pair's
+        # two rows over the dense N x N separations, same-cluster zeros
+        # included, and takes its diameter and spread over all its member pairs
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, n_clusters, n)
         assume(len(set(labels.tolist())) > 1)
@@ -526,18 +592,15 @@ class TestDriverBlocks:
 
         diff = x[None, :, :] - x[:, None, :]
         dense = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-        iu, ju = np.triu_indices(n, 1)
-        inter = labels[iu] != labels[ju]
-        ref_seed = int(np.argmin(dense[iu, ju][inter]))
-        reach = {int(iu[inter][ref_seed]), int(ju[inter][ref_seed])}
+        pair = data.draw(st.integers(0, len(driver.pi) - 1))
+        reach = {int(driver.pi[pair]), int(driver.pj[pair])}
         frontier = list(reach)
         while frontier:
             for j in np.flatnonzero(dense[frontier.pop()] <= threshold).tolist():
                 if j not in reach:
                     reach.add(j)
                     frontier.append(j)
-        seed, roots = driver.component(dists, threshold)
-        assert (driver.pi[seed], driver.pj[seed]) == (iu[inter][ref_seed], ju[inter][ref_seed])
+        roots = driver.component(dists, threshold, pair)
         assert driver.members(roots) == tuple(sorted(reach))
 
         idx = np.array(sorted(reach))

@@ -22,6 +22,8 @@ from flocksim import (
     level_time_bound_check,
     stick_time,
 )
+from flocksim.kernels import CuckerSmaleKernel
+from flocksim.twobody import _floor_samples
 
 # independently derived: t_hit for phi0=1, dphi0=-5, alpha=0.5 is
 # integral_0^1 du/(4 sqrt(u) + 1) = 1/2 - ln(5)/8
@@ -215,6 +217,33 @@ class TestFloorCheck:
     def test_bad_horizon_rejected(self):
         with pytest.raises(DomainError):
             bounded_weight_floor_check(1.0, -1.0, K=1.0, beta=2.0, t_end=0.0)
+
+    @pytest.mark.parametrize(
+        "phi0,dphi0,K,beta,t_end",
+        [
+            (1.0, -1.0, 1.0, 2.0, 2.0),
+            (1.0, -1.0, 1.0, 2.0, 5.0),
+            (2.0, -4.0, 1.0, 2.0, 3.33),
+            (0.3, 2.0, 2.5, 1.5, 1.23),
+            (1.0, -3.0, 2.5, 1.5, 2.0),
+        ],
+    )
+    def test_samples_match_solve_ivp(self, phi0, dphi0, K, beta, t_end):
+        # the check steps the solver's own RK45 and samples each step's dense
+        # output as solve_ivp's t_eval does, so the states agree bit for bit
+        from scipy.integrate import solve_ivp
+
+        kernel = CuckerSmaleKernel(K=K, beta=beta)
+
+        def rhs(t, y):
+            return [y[1], -2.0 * y[1] * kernel.weight(abs(y[0]))]
+
+        ts, ys = _floor_samples(phi0, dphi0, kernel, t_end)
+        ref = solve_ivp(rhs, (0.0, t_end), [phi0, dphi0], method="RK45", t_eval=ts,
+                        rtol=1e-11, atol=1e-13, max_step=1e-2)
+        assert ref.success
+        assert ts.tobytes() == ref.t.tobytes()
+        assert ys.tobytes() == ref.y.tobytes()
 
 
 class TestProblemValidation:

@@ -121,6 +121,17 @@ CASES = [
     # a crossing); the merged cluster takes B's root 0 in place of A's root
     # 1 and keeps pulling on C to the end
     ("diagnose_3c", "diagnose", _three_cluster(2.9345703125)),
+    # rows 0 and 1 start in contact (their pair is disarmed and stays the
+    # closest) while rows 2 and 3 cross head-on: the event is (2, 3)'s
+    (
+        "contact_and_crossing",
+        "simulate",
+        _inline([[0.0], [0.0], [10.0], [10.002]], [[-1e-3], [1e-3], [10.0], [-10.0]], 0.5, 2e-4)
+        + "sample_dt = 1e-05\n",
+    ),
+    # the critical head-on pair at alpha 0.7 to 1.2 times its stick time
+    # (1 - alpha) / (2 alpha): the power-law fit sets the event time
+    ("stick_alpha_07", "simulate", _two_cluster(2, 1, 1, 0.7, 1.2 * 0.3 / 1.4)),
 ]
 
 # (name, command, config text) of configs that parse_config must reject
