@@ -24,13 +24,14 @@ wins, and its pair and the search tolerance pass to a probe phase.
 
 The probe steps through the encounter with the main phase's settings,
 watching that pair and each pair inside ``d_stick`` that touches the
-group.  Per step it grows the group of cluster roots from that pair over
-the root-pair gaps, and takes the group's diameter (largest gap) and
-velocity spread (largest pair speed) over the root pairs inside it: a
-cluster's rows coincide, so these are the largest over all its members.
-The closest approach and ``min_dist`` are over the watched pairs.  The
-probe builds the event, listing the member particles, and ends in one of
-four dispositions:
+group.  Per step it grows the group of cluster roots over the root-pair
+gaps from the closest watched pair (the crossing pair may pass and leave
+while another watched pair collapses), and takes the group's diameter
+(largest gap) and velocity spread (largest pair speed) over the root
+pairs inside it: a cluster's rows coincide, so these are the largest
+over all its members.  The closest approach and ``min_dist`` are over
+the watched pairs.  The probe builds the event, listing the member
+particles, and ends in one of four dispositions:
 
 * ``stick``   -- the group diameter and spread fell below the sticking
   thresholds and the collapse either went deep (diameter below
@@ -99,7 +100,6 @@ _STALL_RATE_FACTOR = 100.0  # stall when |d diam/dt| < v_stick / this
 _FIT_MIN_POINTS = 8
 _FIT_RESIDUAL_FRAC = 0.02
 _MAX_PROBE_STEPS = 50_000
-_SUB_FRACTIONS = np.arange(_NSUB + 1) / _NSUB
 
 
 @dataclass(frozen=True)
@@ -492,15 +492,6 @@ def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config:
     )
 
 
-def _subsample_times(t_prev: float, t_now: float) -> np.ndarray:
-    """numpy's ``linspace(t_prev, t_now, _NSUB + 1)`` bit for bit, unless the
-    span is subnormal: its ``k * (span / _NSUB)`` and ``(k / _NSUB) * span``
-    here round the same product, as dividing by a power of two is exact."""
-    ts = _SUB_FRACTIONS * (t_now - t_prev) + t_prev
-    ts[-1] = t_now
-    return ts
-
-
 def _steps(solver, where: str):
     """Step ``solver`` to its bound, yielding ``(t_old, t, y, dense)`` per step."""
     while solver.status == "running":
@@ -563,10 +554,16 @@ def _probe(
     d_stick = config.d_stick
     v_stick = config.v_stick
 
-    dists = driver.pair_dists(y_cross)
-    roots = driver.component(dists, d_stick * (1.0 + 1e-9), seed)
     watch = np.zeros(len(driver.pi), dtype=bool)
     watch[seed] = True
+
+    def group(dists: np.ndarray, threshold: float = d_stick) -> np.ndarray:
+        # from the closest watched pair, which need not be the crossing pair
+        closest = np.flatnonzero(watch)[np.argmin(dists[watch])]
+        return driver.component(dists, threshold, closest)
+
+    dists = driver.pair_dists(y_cross)
+    roots = group(dists, d_stick * (1.0 + 1e-9))
 
     solver = _stepper(driver, t_cross, y_cross, t_bound, config)
 
@@ -584,7 +581,7 @@ def _probe(
     for k, (t_prev, t_now, y_now, dense) in enumerate(steps, 1):
         # track the watched pairs' closest approach at subsample resolution:
         # the first column holding the smallest gap, if it beats the best so far
-        ts_sub = _subsample_times(t_prev, t_now)
+        ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         col_min = driver.pair_dists(dense(ts_sub)[:, 1:])[:, watch].min(axis=1)
         c = int(np.argmin(col_min))
         if k == 1:
@@ -610,7 +607,7 @@ def _probe(
             disposition = "rebound"
             break
 
-        roots = driver.component(dists, d_stick, seed)
+        roots = group(dists)
         diam, spread = driver.group_stats(y_now, dists, roots)
         mon_t.append(t_now)
         mon_diam.append(diam)
@@ -636,7 +633,7 @@ def _probe(
         t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s))[watch].min(), best_lo, best_hi, tol)
         y_min = best_dense(t_event)
         dists = driver.pair_dists(y_min)
-        roots = driver.component(dists, d_stick, seed)
+        roots = group(dists)
         _, spread = driver.group_stats(y_min, dists, roots)
     elif disposition == "stick":
         t_fit = _stick_time_fit(mon_t, mon_diam, driver, config)
@@ -668,7 +665,7 @@ def _run_segment(
     t_end, y_end, event = t1, y0, None
     steps = _steps(solver, f"below {tol:.3e} while advancing the segment")
     for t_prev, t_now, y_now, dense in steps:
-        ts_sub = _subsample_times(t_prev, t_now)
+        ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         ys_sub = dense(ts_sub)
         dists = driver.pair_dists(ys_sub)
         # row c of the block masks describes the subinterval that ends at

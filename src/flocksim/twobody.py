@@ -176,9 +176,11 @@ def _check_floor_rate(dphi0: float) -> None:
 
 
 def _floor_samples(phi0: float, dphi0: float, kernel: CuckerSmaleKernel, t_end: float):
-    """The floor check's sample times and ``(phi, phi')`` there, read from
-    the dense output of the first step that reaches each time."""
-    from .integrator import RK45, _steps  # here: integrator imports this module
+    """The floor check's sample times and ``(phi, phi')`` there, each read
+    from the first step that reaches it (scipy's ``t_eval`` rule), on its
+    own so that a test can compare the samples with scipy's.
+    The stepper is imported here: ``integrator`` imports :func:`stick_time`."""
+    from .integrator import RK45, _steps
 
     def rhs(t, y):
         phi, dphi = y

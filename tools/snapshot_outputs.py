@@ -129,6 +129,14 @@ CASES = [
         _inline([[0.0], [0.0], [10.0], [10.002]], [[-1e-3], [1e-3], [10.0], [-10.0]], 0.5, 2e-4)
         + "sample_dt = 1e-05\n",
     ),
+    # rows 1 and 2 start in contact closing at the critical rate; row 0
+    # crosses both and leaves, and the group follows the pair that sticks
+    (
+        "crossing_leaves_pair",
+        "simulate",
+        _inline([[2e-3], [0.0], [-5e-7]], [[-20.0], [-2 * 5e-7**0.5], [2 * 5e-7**0.5]], 0.5, 3e-3)
+        + "sample_dt = 1e-05\n",
+    ),
     # the critical head-on pair at alpha 0.7 to 1.2 times its stick time
     # (1 - alpha) / (2 alpha): the power-law fit sets the event time
     ("stick_alpha_07", "simulate", _two_cluster(2, 1, 1, 0.7, 1.2 * 0.3 / 1.4)),
