@@ -141,7 +141,8 @@ def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
     """Norms ``|z[..., j, :] - z[..., i, :]|``, shape ``(..., P)``, over ``pairs``
     of rows ``z`` shaped ``(..., N, d)``.  The differences are reduced as one
-    flat ``(M*P, d)`` array, so an entry rounds the same whatever ``M`` is."""
+    flat ``(M*P, d)`` array, row by row, so an entry rounds the same whatever
+    ``M`` is and whichever pairs are listed beside it."""
     pi, pj = pairs
     diff = z.take(pj, axis=-2)
     diff -= z.take(pi, axis=-2)

@@ -8,19 +8,28 @@ pairs of cluster roots (``ClusterPartition.root_pairs``: a cluster's rows
 coincide bitwise, so each pair of clusters has one gap, that of its roots)
 through a boolean mask of armed pairs (a pair inside ``d_stick`` at the
 segment start is disarmed until it climbs back out).  Each step's dense
-output is read once, as a block of subsample columns: the per-column armed
-masks and crossing candidates of the whole block are found together, and
-only the columns with a candidate are visited, in order.  A candidate is
-an armed pair whose gap, less the travel it could manage in the
-subinterval, reaches the sticking distance ``d_stick``; the pair speeds
-that decide it are computed only when a per-column bound on all of them
-(the norm of the per-axis velocity ranges) lets some pair travel that
-far.  There is one crossing search, per candidate: a pair at or below
-``d_stick`` at the column (a threshold hit) is bisected on its gap over
-the subinterval, and any other is first searched for its closest approach
-by golden section, which brackets the crossing of one that dips below and
-climbs back out between columns.  The earliest crossing in the column
-wins, and its pair and the search tolerance pass to a probe phase.
+output is read once, as a block of subsample columns, and watched on the
+step's live pairs only: the disarmed ones, and those whose gap at the
+step's start is at most twice the sum of ``d_stick``, twice the largest
+particle displacement over the block, and the step's travel at the speed
+bound below.  Any other pair provably stays above ``d_stick`` at every
+column and in every reach, so it can be no candidate and cannot re-arm;
+an event-free swarm watches a fraction of a percent of its pairs.  Each
+pair's norms round the same whichever pairs are computed beside them, so
+the live pairs' watch finds what a watch over all pairs would, bit for
+bit.  The per-column armed masks and crossing candidates of the live
+pairs are found together, and only the columns with a candidate are
+visited, in order.  A candidate is an armed pair whose gap, less the
+travel it could manage in the subinterval, reaches the sticking distance
+``d_stick``; the pair speeds that decide it are computed only when a
+per-column bound on all of them (the norm of the per-axis velocity
+ranges) lets some pair travel that far.  There is one crossing search,
+per candidate: a pair at or below ``d_stick`` at the column (a threshold
+hit) is bisected on its gap over the subinterval, and any other is first
+searched for its closest approach by golden section, which brackets the
+crossing of one that dips below and climbs back out between columns.
+The earliest crossing in the column wins, and its pair and the search
+tolerance pass to a probe phase.
 
 The probe steps through the encounter with the main phase's settings,
 watching that pair and each pair inside ``d_stick`` that touches the
@@ -100,6 +109,7 @@ _STALL_RATE_FACTOR = 100.0  # stall when |d diam/dt| < v_stick / this
 _FIT_MIN_POINTS = 8
 _FIT_RESIDUAL_FRAC = 0.02
 _MAX_PROBE_STEPS = 50_000
+_CULL_PAD = 2.0**-40       # the watch cull's margin, relative to the largest coordinate
 
 
 @dataclass(frozen=True)
@@ -211,16 +221,19 @@ class _Driver:
             y[self.nd :].reshape(self.n, self.d).copy(),
         )
 
-    def _pair_norms(self, z: np.ndarray) -> np.ndarray:
-        """Watched pair norms of ``(n*d,)`` rows, or per column of ``(n*d, C)``."""
+    def _pair_norms(self, z: np.ndarray, sel=None) -> np.ndarray:
+        """Watched pair norms of ``(n*d,)`` rows, or per column of ``(n*d, C)``;
+        with ``sel``, those of the watched pairs it indexes (an index array,
+        or one index for one pair's norms).  An entry rounds the same
+        whatever pairs are computed beside it (:func:`pair_norms`)."""
         rows = np.ascontiguousarray(z.T).reshape(z.shape[1:] + (self.n, self.d))
-        return pair_norms(rows, self.watch)
+        return pair_norms(rows, self.watch if sel is None else (self.pi[sel], self.pj[sel]))
 
-    def pair_dists(self, y: np.ndarray) -> np.ndarray:
-        return self._pair_norms(y[: self.nd])
+    def pair_dists(self, y: np.ndarray, sel=None) -> np.ndarray:
+        return self._pair_norms(y[: self.nd], sel)
 
-    def pair_rel_speeds(self, y: np.ndarray) -> np.ndarray:
-        return self._pair_norms(y[self.nd :])
+    def pair_rel_speeds(self, y: np.ndarray, sel=None) -> np.ndarray:
+        return self._pair_norms(y[self.nd :], sel)
 
     def rel_speed_bound(self, y: np.ndarray) -> np.ndarray:
         """At least every entry of :meth:`pair_rel_speeds`, per column: the
@@ -229,6 +242,68 @@ class _Driver:
         v = y[self.nd :].reshape((self.n, self.d) + y.shape[1:])
         span = v.max(axis=0) - v.min(axis=0)
         return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
+
+    def live_pairs(self, block: np.ndarray, h: float, speed: float, armed: np.ndarray,
+                   d_stick: float) -> np.ndarray:
+        """Indices, in order, of the watched pairs that can matter in a main
+        phase step of length ``h`` with the subsample block ``block``
+        (``(2*n*d, C)``, column 0 the step's start state) and the largest
+        :meth:`rel_speed_bound` ``speed`` over its columns: every pair
+        disarmed in ``armed``, and every pair whose gap g at column 0 is at
+        most ``2*(d_stick + 2*D + h*speed + pad)``.  D is the largest
+        displacement of any particle from column 0 over the columns, and
+        pad is ``_CULL_PAD`` times the largest coordinate magnitude.
+
+        Every other pair is armed, and in :meth:`crossing_candidates` each
+        of its column gaps and reaches exceeds d_stick, so it is never a
+        candidate and its armed bit stays set.  Proof, first in exact
+        arithmetic on the block's values: by the triangle inequality a
+        column gap is at least g - 2D; a reach is the smaller gap of a
+        subinterval less at most its length (at most h) times the larger
+        pair speed at its ends, and every pair speed is at most its
+        column's bound, so the reach is at least g - 2D - h*speed.  With
+        K = d_stick + 2D + h*speed + pad and g > 2K, that is more than
+        g/2 + d_stick.  Rounding: each computed gap, displacement, speed
+        and reach is its exact value on the block's floats to a relative
+        (d + 6)u, u = 2**-53 (coordinates enter only through differences;
+        then d products, a sum, a root, and the reach's product and
+        difference), so a computed reach falls short of the exact one by
+        far less than the g/2 to spare, and a computed K short of the
+        exact one by far less than the factor 2 covers.  The pad is a
+        margin on top of that account, at the scale at which the
+        coordinates themselves round."""
+        x = block[: self.nd].reshape(self.n, self.d, -1)
+        moved = x - x[:, :, :1]
+        travel = math.sqrt(np.einsum("idc,idc->ic", moved, moved).max())
+        pad = _CULL_PAD * float(np.abs(x).max())
+        gaps = self._pair_norms(block[: self.nd, 0])
+        return np.flatnonzero((gaps <= 2.0 * (d_stick + 2.0 * travel + h * speed + pad)) | ~armed)
+
+    def crossing_candidates(self, block: np.ndarray, dists: np.ndarray, dt_sub: np.ndarray,
+                            bound: np.ndarray, armed: np.ndarray, live: np.ndarray, d_stick: float):
+        """The watch over one step's subsample block ``block`` (``(2*n*d, C)``,
+        subintervals ``dt_sub``, per-column :meth:`rel_speed_bound` ``bound``)
+        for the watched pairs ``live``, with column gaps ``dists``
+        (``(C, L)``) and armed bits ``armed[live]`` before the step: their
+        candidate mask ``(C - 1, L)``, whose row c describes the subinterval
+        that ends at column c + 1, and their armed bits after the step.
+
+        A candidate is an armed pair above d_stick at column c whose
+        endpoint gap minus the travel it could manage in the subinterval
+        reaches d_stick: one at or below it at column c + 1 (a threshold
+        hit), or a fast pair that can dip below and climb back out."""
+        armed = armed[live] | np.logical_or.accumulate(dists[1:] > d_stick, axis=0)
+        reach = np.minimum(dists[:-1], dists[1:])
+        chase = armed & (dists[:-1] > d_stick)
+        # the pair speeds are needed only if the per-column speed bound,
+        # whose travel rounds to at least every pair's, lets a pair get
+        # there; if not, the bare gaps of the chase pairs exceed d_stick too
+        lead = np.where(chase, reach, math.inf).min(axis=1, initial=math.inf)
+        if np.any(lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick):
+            speeds = self.pair_rel_speeds(block, live)
+            reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
+        chase &= reach <= d_stick
+        return chase, armed[-1]
 
     def component(self, dists: np.ndarray, threshold: float, seed: int) -> np.ndarray:
         """The ``(n,)`` mask of the cluster roots reachable from the watched
@@ -582,7 +657,7 @@ def _probe(
         # track the watched pairs' closest approach at subsample resolution:
         # the first column holding the smallest gap, if it beats the best so far
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
-        col_min = driver.pair_dists(dense(ts_sub)[:, 1:])[:, watch].min(axis=1)
+        col_min = driver.pair_dists(dense(ts_sub)[:, 1:], np.flatnonzero(watch)).min(axis=1)
         c = int(np.argmin(col_min))
         if k == 1:
             # until a column beats the crossing distance, the closest
@@ -630,7 +705,10 @@ def _probe(
     # closest approach in its bracket, and a collapse's with a passing fit
     t_event = t_cur
     if disposition == "rebound":
-        t_event = _golden_min(lambda s: driver.pair_dists(best_dense(s))[watch].min(), best_lo, best_hi, tol)
+        watched = np.flatnonzero(watch)
+        t_event = _golden_min(
+            lambda s: driver.pair_dists(best_dense(s), watched).min(), best_lo, best_hi, tol
+        )
         y_min = best_dense(t_event)
         dists = driver.pair_dists(y_min)
         roots = group(dists)
@@ -667,39 +745,33 @@ def _run_segment(
     for t_prev, t_now, y_now, dense in steps:
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
         ys_sub = dense(ts_sub)
-        dists = driver.pair_dists(ys_sub)
-        # row c of the block masks describes the subinterval that ends at
-        # column c + 1; armed is the mask after that column
-        armed = armed | np.logical_or.accumulate(dists[1:] > d_stick, axis=0)
-        # a candidate is an armed pair above d_stick at column c whose
-        # endpoint gap minus the travel it could manage in the subinterval
-        # reaches d_stick: one at or below it at column c + 1 (a threshold
-        # hit), or a fast pair that can dip below and climb back out
-        reach = np.minimum(dists[:-1], dists[1:])
-        dt_sub = np.diff(ts_sub)
-        chase = armed & (dists[:-1] > d_stick)
-        # the pair speeds are needed only if the per-column speed bound,
-        # whose travel rounds to at least every pair's, lets a pair get
-        # there; if not, the bare gaps of the chase pairs exceed d_stick too
         bound = driver.rel_speed_bound(ys_sub)
-        lead = np.where(chase, reach, math.inf).min(axis=1)
-        if np.any(lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick):
-            speeds = driver.pair_rel_speeds(ys_sub)
-            reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
-        chase &= reach <= d_stick
+        # the step is watched on the pairs that can reach d_stick in it; the
+        # others can neither be candidates nor change their armed bits, so
+        # a step without such a pair only stores its samples
+        live = driver.live_pairs(ys_sub, t_now - t_prev, float(bound.max()), armed, d_stick)
+        if not live.size:
+            store.emit_grid_range(dense, t_prev, t_now)
+            y_end = y_now
+            continue
+        dists = driver.pair_dists(ys_sub, live)
+        chase, armed[live] = driver.crossing_candidates(
+            ys_sub, dists, np.diff(ts_sub), bound, armed, live, d_stick
+        )
         # per column with candidates, each one's crossing is bracketed: a
         # hit's by the subinterval, a dip's up to its closest approach found
         # by golden section; the earliest crossing in the column wins
         crossing_t = crossing_k = None
         for c in np.flatnonzero(chase.any(axis=1)):
             t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
-            for k in np.flatnonzero(chase[c]):
+            for j in np.flatnonzero(chase[c]):
+                k = live[j]
 
                 def gap(s):
-                    return float(driver.pair_dists(dense(s))[k])
+                    return float(driver.pair_dists(dense(s), k))
 
                 t_in = t_col
-                if dists[c + 1, k] > d_stick:
+                if dists[c + 1, j] > d_stick:
                     t_in = _golden_min(gap, t_lo, t_col, tol)
                     if gap(t_in) > d_stick:
                         continue
@@ -708,7 +780,6 @@ def _run_segment(
                     crossing_t, crossing_k = t_c, k
             if crossing_t is not None:
                 break
-        armed = armed[-1]
 
         if crossing_t is not None:
             y_cross = dense(crossing_t)

@@ -318,6 +318,15 @@ _STORMS = dict(
 # relabelling; the largest seen over 3512 events of 3780 storms (N 2-8,
 # d 1-3, speed 1-5, seeds 0-35) was 2.1e-6
 _RELABEL_DX = 1e-5
+# the same bound between a storm and its translation by up to 1e3 per axis.
+# A shift moves the origin of the stepper's error scale atol + rtol*|y|: a
+# coordinate near zero is held to atol, a shifted one to rtol*|c|, so a
+# shifted run is only as close as the solve is to the truth.  The largest
+# seen over 3074 events of 2520 storms (N 2-8, d 1-3, speed 1-5, seeds
+# 0-259) was 4.4e-5, above 1e-5 on 3 events; at seed 30, N 8, d 1 the
+# unshifted run is 1.9e-6 from a rel_tol 1e-12 solve and every shift from
+# 0.1 to 1000 is 4.4e-5 from it
+_TRANSLATE_DX = 1e-4
 
 
 class TestSymmetries:
@@ -349,6 +358,19 @@ class TestSymmetries:
         v_stick = traj.config.v_stick
         for e, f in zip(traj.events, other.events):
             assert abs(e.t_event - f.t_event) * max(e.rel_speed, v_stick) <= _RELABEL_DX
+
+    @given(**_STORMS, shift=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+    @settings(max_examples=20, deadline=None)
+    def test_translation(self, n, d, seed, speed, shift):
+        # the shifted run rounds its positions, and weighs their errors, at
+        # the shift's scale, so its step sequence differs; kinds and groups
+        # are the same and the events move by the solve's own error
+        x, v, traj = _storm(n, d, seed, speed)
+        other = _solve_storm(x + np.array(shift[:d]), v)
+        assert [(e.kind, e.group) for e in other.events] == [(e.kind, e.group) for e in traj.events]
+        v_stick = traj.config.v_stick
+        for e, f in zip(traj.events, other.events):
+            assert abs(e.t_event - f.t_event) * max(e.rel_speed, v_stick) <= _TRANSLATE_DX
 
 
 class TestSegmentApi:
@@ -520,8 +542,11 @@ class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_rows_equal_single_columns(self, d):
         # a step's (n*d, _NSUB + 1) subsample block gives, bit for bit, the
-        # per-column distances and speeds; clusters {0, 3} and {2, 5} leave
-        # 5 clusters, and the watch holds one pair per pair of clusters
+        # per-column distances and speeds, and any subset of the watched
+        # pairs the matching entries, on the block and on one column;
+        # clusters {0, 3} and {2, 5} leave 5 clusters, the watch holds one
+        # pair per pair of clusters, and in the block the clusters of rows
+        # 1 and 4 coincide
         n = 7
         rng = np.random.default_rng(d)
         x = rng.normal(size=(n, d))
@@ -529,12 +554,77 @@ class TestDriverBlocks:
         x[3], v[3], x[5], v[5] = x[0], v[0], x[2], v[2]
         driver = _Driver(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig())
         assert len(driver.pi) == 10
-        block = rng.normal(size=(2 * n * d, _NSUB + 1)) * 10.0 ** rng.integers(-6, 2, _NSUB + 1)
+        block = rng.normal(size=(2 * n * d, _NSUB + 1)) * 10.0 ** rng.integers(-6, 3, _NSUB + 1)
+        block[4 * d : 5 * d] = block[d : 2 * d]
+        block[(n + 4) * d : (n + 5) * d] = block[(n + 1) * d : (n + 2) * d]
+        subsets = [np.arange(10), np.array([], dtype=np.intp), np.array([7, 2, 7])]
+        subsets += [np.sort(rng.choice(10, size=k, replace=False)) for k in range(1, 10)]
         for method in (driver.pair_dists, driver.pair_rel_speeds):
             rows = method(block)
             cols = np.stack([method(block[:, c]) for c in range(_NSUB + 1)])
             assert rows.shape == (_NSUB + 1, len(driver.pi))
             assert rows.tobytes() == cols.tobytes()
+            assert np.any(rows == 0.0)
+            for sel in subsets + list(range(10)):
+                assert method(block, sel).tobytes() == rows[:, sel].tobytes()
+                for c in (0, _NSUB):
+                    assert method(block[:, c], sel).tobytes() == rows[c, sel].tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        d=st.integers(1, 3),
+        offset=st.floats(-1e6, 1e6),
+        scale=st.integers(-7, 1),
+        move=st.integers(-4, 1),
+        travel=st.integers(-4, 2),
+        h=st.integers(-9, -2),
+        disarmed=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_cull_keeps_every_pair_that_can_matter(
+        self, seed, n, d, offset, scale, move, travel, h, disarmed
+    ):
+        # random step blocks, with positions offset up to 1e6 at gap scales
+        # from 1e-7 to 10, particle moves and speed-bound travel within a
+        # few decades of the gaps, and rows 0 and 1 closing by their moves
+        # alone to a gap near d_stick: each pair the step's watch over all
+        # watched pairs (the full block) makes a candidate or re-arms is
+        # among the live pairs, on which the watch gives the same candidates
+        # and armed bits
+        rng = np.random.default_rng(seed)
+        d_stick = SolverConfig().d_stick
+        x0 = offset * rng.uniform(-1.0, 1.0, d) + 10.0**scale * rng.normal(size=(n, d))
+        x0[rng.integers(0, n)] = x0[rng.integers(0, n)]
+        walk = np.cumsum(rng.normal(size=(n, d, _NSUB + 1)), axis=2) * 10.0 ** (scale + move)
+        x = x0[:, :, None] + (walk - walk[:, :, :1])
+        e = rng.normal(size=(d, 1))
+        closing = np.linspace(np.linalg.norm(x0[1] - x0[0]), rng.uniform(0.0, 2.0) * d_stick, _NSUB + 1)
+        x[1] = x[0] + e / np.linalg.norm(e) * closing
+        speed = 10.0 ** (scale + travel - h)
+        v = offset * rng.uniform(-1.0, 1.0, (d, 1)) + speed * rng.normal(size=(n, d, _NSUB + 1))
+        block = np.concatenate([x.reshape(n * d, -1), v.reshape(n * d, -1)])
+        t0 = rng.uniform(0.0, 10.0)
+        ts = np.linspace(t0, t0 + 10.0**h, _NSUB + 1)
+        singletons = np.arange(n * d, dtype=float).reshape(n, d)
+        system = make_system(singletons, np.zeros_like(singletons), SingularKernel(alpha=0.5))
+        driver = _Driver(system, SolverConfig())
+        armed = rng.uniform(size=len(driver.pi)) >= disarmed
+        bound = driver.rel_speed_bound(block)
+        dt_sub = np.diff(ts)
+
+        every = np.arange(len(driver.pi))
+        chase, after = driver.crossing_candidates(
+            block, driver.pair_dists(block), dt_sub, bound, armed, every, d_stick
+        )
+        live = driver.live_pairs(block, ts[-1] - ts[0], float(bound.max()), armed, d_stick)
+        matter = np.flatnonzero(chase.any(axis=0) | (after != armed))
+        assert np.isin(matter, live).all()
+        live_chase, live_after = driver.crossing_candidates(
+            block, driver.pair_dists(block, live), dt_sub, bound, armed, live, d_stick
+        )
+        assert live_chase.tobytes() == chase[:, live].tobytes()
+        assert live_after.tobytes() == after[live].tobytes()
 
     @given(
         n=st.integers(2, 6),
@@ -690,7 +780,7 @@ class TestChase:
                 calls["searches"] += 1
             return golden(f, t_lo, t_hi, tol)
 
-        def counting_dists(self, y):
+        def counting_dists(self, y, sel=None):
             # calls through the closures of _run_segment (not through
             # _probe) are its localization: the chase and threshold hits
             f = sys._getframe(1)
@@ -699,7 +789,7 @@ class TestChase:
                     f = f.f_back
                 if f is not None and f.f_code.co_name == "_run_segment":
                     calls["dists"] += 1
-            return pair_dists(self, y)
+            return pair_dists(self, y, sel)
 
         monkeypatch.setattr(integrator, "_golden_min", counting_golden)
         monkeypatch.setattr(_Driver, "pair_dists", counting_dists)

@@ -25,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from flocksim.cli import parse_config, run_command
+from flocksim.cli import generate_scenario, parse_config, run_command
 from flocksim.errors import ConfigError, ValidationError
 
 README_PAIR = """\
@@ -86,6 +86,17 @@ def _three_cluster(u: float) -> str:
     return _inline([[x0[c]] for c in member], [[v0[c]] for c in member], 0.5, 1.5)
 
 
+def _swarm_dip() -> str:
+    """A 2D swarm of 48 (seed 3, unit box, speed 1) and, above it, a head-on
+    pair closing at speed 2000 from unit separation: the pair dips below
+    d_stick between subsample columns, so the main phase chases the dip,
+    while the watch culls almost every swarm pair in each short step."""
+    x, v = generate_scenario(48, 2, 3, box=1.0, speed=1.0)
+    rows_x = x.tolist() + [[-0.5, 2.0], [0.5, 2.0]]
+    rows_v = v.tolist() + [[1000.0, 0.0], [-1000.0, 0.0]]
+    return _inline(rows_x, rows_v, 0.5, 1e-3) + "sample_dt = 1e-05\n"
+
+
 def _inline(rows_x, rows_v, alpha: float, t_end: float) -> str:
     lines = ["[scenario]", f"n = {len(rows_x)}", f"d = {len(rows_x[0])}", f"alpha = {alpha!r}"]
     lines += [f"x_{i} = " + " ".join(map(repr, r)) for i, r in enumerate(rows_x, 1)]
@@ -140,6 +151,7 @@ CASES = [
     # the critical head-on pair at alpha 0.7 to 1.2 times its stick time
     # (1 - alpha) / (2 alpha): the power-law fit sets the event time
     ("stick_alpha_07", "simulate", _two_cluster(2, 1, 1, 0.7, 1.2 * 0.3 / 1.4)),
+    ("swarm_dip", "simulate", _swarm_dip()),
 ]
 
 # (name, command, config text) of configs that parse_config must reject
