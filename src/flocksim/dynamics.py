@@ -14,10 +14,13 @@ with multiplicity m.  The 2/N coupling is chosen so that two particles
 obey the separation equation ``d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt``
 solved in closed form by the twobody module.  The kernel is evaluated only
 on the pairs of :meth:`ClusterPartition.inter_pairs`: their separations
-come from :func:`pair_norms`, and the P weights are scattered into the
-flattened N x N matrix through the linear indices ``i*N + j`` and
-``j*N + i`` (:func:`pair_slots`, which a solver segment builds once for its
-fixed pair list), and the force reduction then reads that matrix.
+come from :func:`pair_norms`, which sums the squared components in one
+written-out order (the even axes, then the odd axes), and the P weights
+are scattered into a flattened N x N buffer through the linear indices
+``i*N + j`` and ``j*N + i``.  :func:`pair_slots` builds the indices and the
+zeroed buffer once for a fixed pair list (a solver segment's), so a call
+writes only the P weights and every entry off the list stays zero.  The
+force reduction then reads that matrix and works in place.
 
 A cluster is named by its smallest member, its root.  A cluster's rows
 coincide bitwise, so the pairs across two clusters share one gap, and the
@@ -27,6 +30,7 @@ solver's event watch follows only :meth:`ClusterPartition.root_pairs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,7 +41,6 @@ __all__ = [
     "ClusterPartition",
     "ParticleSystem",
     "make_system",
-    "pair_weights",
     "acceleration_arrays",
     "merge_clusters",
 ]
@@ -131,63 +134,78 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     return ParticleSystem(x, v, kernel, part)
 
 
-def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linear indices ``(i*n + j, j*n + i)`` of ``pairs`` in a flattened
-    n x n matrix; a caller that reuses one pair list builds them once."""
+    n x n matrix, and a zeroed ``(n*n,)`` weight buffer for them.  A caller
+    that reuses one pair list builds them once; each
+    :func:`acceleration_arrays` call then writes only the listed entries of
+    the buffer, so every other entry stays zero."""
     pi, pj = pairs
-    return pi * n + pj, pj * n + pi
+    return pi * n + pj, pj * n + pi, np.zeros(n * n)
 
 
 def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
     """Norms ``|z[..., j, :] - z[..., i, :]|``, shape ``(..., P)``, over ``pairs``
-    of rows ``z`` shaped ``(..., N, d)``.  The differences are reduced as one
-    flat ``(M*P, d)`` array, row by row, so an entry rounds the same whatever
-    ``M`` is and whichever pairs are listed beside it."""
+    of rows ``z`` shaped ``(..., N, d)``.
+
+    The squared differences are summed in one written-out order, the even
+    axes first, then the odd axes: ``(s0 + s2 + ...) + (s1 + s3 + ...)``.
+    For d <= 7 that is the order of numpy's ``einsum("pd,pd->p")`` (its
+    two-lane loop), so these norms equal its bytes; for larger d einsum
+    unrolls further and can differ in the last bit.  The sums run
+    elementwise, so an entry rounds the same whatever the leading shape is
+    and whichever pairs are listed beside it."""
     pi, pj = pairs
-    diff = z.take(pj, axis=-2)
-    diff -= z.take(pi, axis=-2)
-    flat = diff.reshape(-1, z.shape[-1])
-    out = np.einsum("pd,pd->p", flat, flat)
-    np.sqrt(out, out=out)
-    return out.reshape(diff.shape[:-1])
+    sq = z.take(pj, axis=-2)
+    sq -= z.take(pi, axis=-2)
+    sq *= sq
+    d = z.shape[-1]
+    total = reduce(np.add, (sq[..., k] for k in range(0, d, 2)))
+    if d > 1:
+        total = total + reduce(np.add, (sq[..., k] for k in range(1, d, 2)))
+    return np.sqrt(total)
 
 
-def pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots) -> np.ndarray:
-    """Symmetric matrix of kernel weights on ``pairs`` (index arrays from
-    :meth:`ClusterPartition.inter_pairs`), zero elsewhere; ``slots`` are
-    the pairs' :func:`pair_slots`.
+def _pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots) -> np.ndarray:
+    """Symmetric ``(n, n)`` matrix of kernel weights on ``pairs`` (index
+    arrays from :meth:`ClusterPartition.inter_pairs`), zero elsewhere,
+    written into the buffer of their :func:`pair_slots` ``slots``.  The
+    matrix is that buffer: the next call on the same slots overwrites it.
 
     Raises :class:`SingularEvaluationError` if the singular kernel meets a
     zero separation on one of them.
     """
     n = x.shape[0]
-    ij, ji = slots
+    ij, ji, w = slots
     dist = pair_norms(x, pairs)
     if isinstance(kernel, SingularKernel) and np.any(dist == 0.0):
         raise SingularEvaluationError(
             "zero separation between distinct clusters under the singular weight"
         )
-    w = np.zeros(n * n)
     w[ij] = w[ji] = kernel.weight(dist)
     return w.reshape(n, n)
 
 
 def acceleration_arrays(
-    x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel, slots
+    x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel, slots, out=None
 ) -> np.ndarray:
     """Alignment acceleration, one row per particle, from the weights on
-    ``pairs`` and their ``slots`` (see :func:`pair_weights`).
+    ``pairs`` and their :func:`pair_slots` ``slots``; written into ``out``
+    (an ``(n, d)`` array) when given, else into a new array.
 
     Rows of stuck particles are identical, and the column means vanish up
     to roundoff, so the mean velocity is a conserved quantity of the flow.
     """
-    w = pair_weights(x, pairs, kernel, slots)
+    w = _pair_weights(x, pairs, kernel, slots)
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
     # The 2/N coupling makes the two-particle system reduce exactly to the
     # separation equation d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt that the
     # twobody module solves in closed form.
-    return (w @ v - w.sum(axis=1)[:, None] * v) * (2.0 / x.shape[0])
+    a = np.matmul(w, v, out=out)
+    a -= w.sum(axis=1)[:, None] * v
+    a *= 2.0 / x.shape[0]
+    return a
 
 
 def merge_clusters(system: ParticleSystem, group) -> ParticleSystem:

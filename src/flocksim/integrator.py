@@ -210,10 +210,13 @@ class _Driver:
         self.pi, self.pj = self.watch
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        x = y[: self.nd].reshape(self.n, self.d)
-        v = y[self.nd :].reshape(self.n, self.d)
-        a = acceleration_arrays(x, v, self.pairs, self.kernel, self.slots)
-        return np.concatenate([v.ravel(), a.ravel()])
+        # a fresh array per call: the stepper keeps each returned derivative
+        dy = np.empty_like(y)
+        dy[: self.nd] = y[self.nd :]
+        shape = (self.n, self.d)
+        acceleration_arrays(y[: self.nd].reshape(shape), y[self.nd :].reshape(shape),
+                            self.pairs, self.kernel, self.slots, out=dy[self.nd :].reshape(shape))
+        return dy
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -18,10 +18,12 @@ from flocksim import (
     RegularizedKernel,
     SingularEvaluationError,
     SingularKernel,
+    SolverConfig,
     make_system,
     merge_clusters,
 )
-from flocksim.dynamics import acceleration_arrays, pair_slots, pair_weights
+from flocksim.dynamics import _pair_weights, acceleration_arrays, pair_norms, pair_slots
+from flocksim.integrator import _Driver
 
 
 def _random_system(seed, n, d, kernel=None):
@@ -32,7 +34,7 @@ def _random_system(seed, n, d, kernel=None):
 
 
 def _weights(x, pairs, kernel):
-    return pair_weights(x, pairs, kernel, pair_slots(pairs, len(x)))
+    return _pair_weights(x, pairs, kernel, pair_slots(pairs, len(x)))
 
 
 def _acceleration(s):
@@ -146,6 +148,16 @@ class TestMakeSystem:
         assert s.x[0, 0] != c.x[0, 0]
 
 
+def _dense_masked_weights(x, labels, kernel):
+    """The kernel on the dense N x N separations, same-cluster entries zeroed."""
+    diff = x[None, :, :] - x[:, None, :]
+    dist = np.sqrt(np.einsum("ikd,ikd->ik", diff, diff))
+    with np.errstate(divide="ignore"):
+        ref = kernel.weight(dist)
+    ref[labels[:, None] == labels[None, :]] = 0.0
+    return ref
+
+
 def _partition(labels):
     """Partition whose clusters are the equal entries of ``labels``."""
     part = ClusterPartition(len(labels))
@@ -182,11 +194,12 @@ class TestPairWeights:
         slots = pair_slots(pairs, 7)
         np.testing.assert_array_equal(slots[0], pairs[0] * 7 + pairs[1])
         np.testing.assert_array_equal(slots[1], pairs[1] * 7 + pairs[0])
+        assert slots[2].shape == (49,) and not slots[2].any()
 
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(2, 9),
-        d=st.integers(1, 3),
+        d=st.integers(1, 4),
         n_clusters=st.integers(1, 9),
         kernel=st.sampled_from(
             [
@@ -203,14 +216,68 @@ class TestPairWeights:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, n_clusters, n)
         x = rng.normal(size=(n_clusters, d))[labels] * 10.0 ** rng.integers(-4, 2)
-        part = _partition(labels)
-        diff = x[None, :, :] - x[:, None, :]
-        dist = np.sqrt(np.einsum("ikd,ikd->ik", diff, diff))
-        inter = labels[:, None] != labels[None, :]
-        with np.errstate(divide="ignore"):
-            ref = kernel.weight(dist)
-        ref[~inter] = 0.0
-        w = _weights(x, part.inter_pairs(), kernel)
+        w = _weights(x, _partition(labels).inter_pairs(), kernel)
+        assert w.tobytes() == _dense_masked_weights(x, labels, kernel).tobytes()
+
+
+class TestPairNorms:
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 4),
+        n=st.integers(2, 9),
+        d=st.integers(1, 5),
+        scale=st.integers(-12, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_einsum_bytes(self, seed, m, n, d, scale, data):
+        # the written-out order (even axes, then odd axes) is einsum's, so
+        # the norms of (M, N, d) rows equal its bytes on any subset of pairs
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(m, n, d)) * 10.0 ** scale * 10.0 ** rng.uniform(-2, 2, (m, n, d))
+        pi, pj = np.triu_indices(n, k=1)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=pi.size, max_size=pi.size)))
+        pairs = (pi[keep], pj[keep])
+        diff = (z[:, pairs[1]] - z[:, pairs[0]]).reshape(-1, d)
+        ref = np.sqrt(np.einsum("pd,pd->p", diff, diff)).reshape(m, -1)
+        assert pair_norms(z, pairs).tobytes() == ref.tobytes()
+
+
+class TestWeightBuffer:
+    """The driver reuses one weight buffer for its fixed pair list."""
+
+    @staticmethod
+    def _state(seed, n, d):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([rng.uniform(-1.0, 1.0, n * d), rng.uniform(-1.0, 1.0, n * d)])
+
+    def test_reused_driver_matches_fresh_driver(self):
+        # rows 0, 2 and 5 form one cluster: their entries are off the pair list
+        s = merge_clusters(_random_system(3, 7, 2), (0, 2, 5))
+        driver = _Driver(s, SolverConfig())
+        for seed in (11, 12):
+            y = self._state(seed, 7, 2)
+            fresh = _Driver(s, SolverConfig()).rhs(0.0, y)
+            assert driver.rhs(0.0, y).tobytes() == fresh.tobytes()
+
+    def test_returned_derivative_survives_next_call(self):
+        driver = _Driver(_random_system(4, 6, 3), SolverConfig())
+        first = driver.rhs(0.0, self._state(21, 6, 3))
+        kept = first.copy()
+        second = driver.rhs(0.0, self._state(22, 6, 3))
+        assert second is not first
+        assert first.tobytes() == kept.tobytes()
+
+    def test_merged_rows_get_zero_weight_next_segment(self):
+        s = _random_system(5, 6, 2)
+        before = _Driver(s, SolverConfig())
+        before.rhs(0.0, np.concatenate([s.x.ravel(), s.v.ravel()]))
+        merged = merge_clusters(s, (1, 4))
+        after = _Driver(merged, SolverConfig())
+        after.rhs(0.0, np.concatenate([merged.x.ravel(), merged.v.ravel()]))
+        w = after.slots[2].reshape(6, 6)
+        assert w[1, 4] == 0.0 and w[4, 1] == 0.0
+        ref = _dense_masked_weights(merged.x, merged.partition.labels(), after.kernel)
         assert w.tobytes() == ref.tobytes()
 
 

@@ -112,6 +112,8 @@ CASES = [
     ("unresolved_pair", "simulate", README_PAIR.replace("t_end = 0.7", "t_end = 0.4999")),
     ("storm_1d", "simulate", _generated(16, 1, 3, 5.0, 0.3)),
     ("swarm_2d", "simulate", _generated(48, 2, 3, 1.0, 0.2)),
+    # d = 4: pair norms sum two even and two odd axes
+    ("swarm_4d", "simulate", _generated(12, 4, 3, 5.0, 0.3)),
     ("rebound_3d", "simulate", _two_cluster(2, 1, 3, 0.5, 0.7, u=5.0)),
     ("twobody_stick", "twobody", _twobody(1.0, -4.0)),
     ("twobody_collide", "twobody", _twobody(1.0, -5.0)),
