@@ -27,7 +27,6 @@ from .diagnostics import (
 from .dynamics import ClusterPartition, ParticleSystem, make_system, merge_clusters
 from .errors import (
     ConfigError,
-    ContinuationError,
     DivergenceError,
     DomainError,
     FlockError,
@@ -110,7 +109,6 @@ __all__ = [
     "SingularEvaluationError",
     "DivergenceError",
     "LocalizationError",
-    "ContinuationError",
     "InsufficientDataError",
     "ConfigError",
     "ValidationError",

@@ -18,9 +18,10 @@ come from :func:`pair_norms`, which sums the squared components in one
 written-out order (the even axes, then the odd axes), and the P weights
 are scattered into a flattened N x N buffer through the linear indices
 ``i*N + j`` and ``j*N + i``.  :func:`pair_slots` builds the indices and the
-zeroed buffer once for a fixed pair list (a solver segment's), so a call
-writes only the P weights and every entry off the list stays zero.  The
-force reduction then reads that matrix and works in place.
+zeroed buffer once for a fixed pair list (that of the solver's driver for
+one partition), so a call writes only the P weights and every entry off
+the list stays zero.  The force reduction then reads that matrix and
+works in place.
 
 A cluster is named by its smallest member, its root.  A cluster's rows
 coincide bitwise, so the pairs across two clusters share one gap, and the

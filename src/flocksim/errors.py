@@ -29,10 +29,6 @@ class LocalizationError(FlockError, ArithmeticError):
     """Step size underflow while advancing or localizing an event."""
 
 
-class ContinuationError(FlockError, RuntimeError):
-    """The piecewise continuation exceeded its segment budget."""
-
-
 class InsufficientDataError(FlockError, ValueError):
     """Not enough samples to run an estimate."""
 

@@ -1,35 +1,35 @@
 """Event-driven piecewise integration of the alignment dynamics.
 
 The flow is smooth between close encounters, so :func:`solve_piecewise`
-runs one segment per encounter, each alternating two phases.  A main phase
+alternates two phases on one driver (pair list, weight buffer and watch)
+per cluster partition, which only a sticking event changes.  A main phase
 advances the system with an adaptive embedded Runge-Kutta stepper (max
 step capped at the sample spacing) while watching the distances of the
 pairs of cluster roots (``ClusterPartition.root_pairs``: a cluster's rows
 coincide bitwise, so each pair of clusters has one gap, that of its roots)
 through a boolean mask of armed pairs (a pair inside ``d_stick`` at the
-segment start is disarmed until it climbs back out).  Each step's dense
+phase start is disarmed until it climbs back out).  Each step's dense
 output is read once, as a block of subsample columns, and watched on the
 step's live pairs only: the disarmed ones, and those whose gap at the
 step's start is at most twice the sum of ``d_stick``, twice the largest
 particle displacement over the block, and the step's travel at the speed
 bound below.  Any other pair provably stays above ``d_stick`` at every
-column and in every reach, so it can be no candidate and cannot re-arm;
-an event-free swarm watches a fraction of a percent of its pairs.  Each
+column and in every reach, so it can be no candidate and cannot re-arm; an
+event-free swarm watches a fraction of a percent of its pairs.  Each
 pair's norms round the same whichever pairs are computed beside them, so
 the live pairs' watch finds what a watch over all pairs would, bit for
-bit.  The per-column armed masks and crossing candidates of the live
-pairs are found together, and only the columns with a candidate are
-visited, in order.  A candidate is an armed pair whose gap, less the
-travel it could manage in the subinterval, reaches the sticking distance
-``d_stick``; the pair speeds that decide it are computed only when a
-per-column bound on all of them (the norm of the per-axis velocity
-ranges) lets some pair travel that far.  There is one crossing search,
-per candidate: a pair at or below ``d_stick`` at the column (a threshold
-hit) is bisected on its gap over the subinterval, and any other is first
-searched for its closest approach by golden section, which brackets the
-crossing of one that dips below and climbs back out between columns.
-The earliest crossing in the column wins, and its pair and the search
-tolerance pass to a probe phase.
+bit.  The per-column armed masks and crossing candidates of the live pairs
+are found together, and only the columns with a candidate are visited, in
+order.  A candidate is an armed pair whose gap, less the travel it could
+manage in the subinterval, reaches the sticking distance ``d_stick``; the
+pair speeds that decide it are computed only when a per-column bound on
+all of them (the norm of the per-axis velocity ranges) lets some pair
+travel that far.  There is one crossing search, per candidate: a pair at
+or below ``d_stick`` at the column (a threshold hit) is bisected on its
+gap over the subinterval, and any other is first searched for its closest
+approach by golden section, which brackets the crossing of one that dips
+below and climbs back out between columns.  The earliest crossing in the
+column wins, and its pair and the search tolerance pass to a probe phase.
 
 The probe steps through the encounter with the main phase's settings,
 watching that pair and each pair inside ``d_stick`` that touches the
@@ -56,8 +56,9 @@ particles, and ends in one of four dispositions:
   span, or exhausted the probe step budget, and is reported unresolved.
 
 Sticking events merge the group to its mean state and integration
-continues; non-stick collisions continue from the post-encounter state
-without merging; a single surviving cluster drifts linearly to the end.
+continues on a new driver; after any other event a fresh stepper resumes
+at the probe's exit on the same driver; a single surviving cluster drifts
+linearly to the end.
 
 The working kernel of a singular system is the regularized weight with
 the cap index ``n_reg`` and the system's exponent; a bounded kernel is
@@ -80,7 +81,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ParticleSystem, acceleration_arrays, merge_clusters, pair_norms, pair_slots
-from .errors import ContinuationError, DivergenceError, DomainError, LocalizationError
+from .errors import DivergenceError, DomainError, LocalizationError
 from .kernels import (
     CuckerSmaleKernel, RegularizedKernel, _check_int, _check_kernel, _check_positive
 )
@@ -114,14 +115,13 @@ _CULL_PAD = 2.0**-40       # the watch cull's margin, relative to the largest co
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, thresholds, and budget of a piecewise solve."""
+    """Tolerances, thresholds, cap index and time grid of a piecewise solve."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     d_stick: float = 1e-6
     v_stick: float = 1e-4
     n_reg: int = 10**6
-    max_segments: int = 1000
     t_end: float = 5.0
     sample_dt: float = 1e-2
 
@@ -129,7 +129,6 @@ class SolverConfig:
         for name in ("rel_tol", "abs_tol", "d_stick", "v_stick", "t_end", "sample_dt"):
             _check_positive(getattr(self, name), name)
         object.__setattr__(self, "n_reg", _check_int(self.n_reg, "n_reg", 2))
-        object.__setattr__(self, "max_segments", _check_int(self.max_segments, "max_segments", 1))
 
 
 @dataclass(frozen=True)
@@ -726,19 +725,20 @@ def _probe(
 
 
 def _run_segment(
-    system: ParticleSystem,
+    driver: _Driver,
     t0: float,
+    y0: np.ndarray,
     t1: float,
     config: SolverConfig,
     store: _SampleStore,
-) -> tuple[float, ParticleSystem, Optional[CollisionEvent]]:
-    driver = _Driver(system, config)
-    y0 = np.concatenate([system.x.ravel(), system.v.ravel()])
+) -> tuple[float, np.ndarray, Optional[CollisionEvent]]:
+    """One main phase from ``(t0, y0)`` towards ``t1``: where it stopped,
+    ``(t, y)``, and the event that stopped it (None at ``t1``)."""
     store.emit(t0, y0)
     solver = _stepper(driver, t0, y0, t1, config)
 
-    # pairs already inside d_stick at the segment start stay disarmed until
-    # they climb back out, so a fresh segment does not instantly retrigger
+    # pairs already inside d_stick at the phase start stay disarmed until
+    # they climb back out, so a fresh phase does not instantly retrigger
     d_stick = config.d_stick
     armed = driver.pair_dists(y0) > d_stick
     tol = max(_BISECT_TOL_FACTOR * (t1 - t0), 1e-15)
@@ -795,7 +795,7 @@ def _run_segment(
     else:
         store.emit(t1, y_end)
 
-    return t_end, ParticleSystem(*driver.unpack(y_end), system.kernel, system.partition.copy()), event
+    return t_end, y_end, event
 
 
 def _drift(store: _SampleStore, system: ParticleSystem, t0: float, t1: float) -> ParticleSystem:
@@ -881,10 +881,13 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
     """Integrate to ``config.t_end`` through all close encounters.
 
     Sticking events merge their group and strictly reduce the cluster
-    count, so a run carries at most ``N - 1`` of them; cluster membership
-    only ever grows.  Once one cluster remains the tail is exact linear
-    drift.  Raises :class:`ContinuationError` when the segment budget is
-    exhausted before the horizon.
+    count, so a run carries at most ``N - 1`` of them and builds at most
+    ``N`` drivers; cluster membership only ever grows.  Once one cluster
+    remains the tail is exact linear drift.  The main phases need no
+    budget: each reaches the horizon or ends after a probe that took an
+    accepted step, at least ten float spacings long short of the horizon
+    (a shorter one raises :class:`LocalizationError`), so time strictly
+    increases.
     """
     sys_cur = system.copy()
     n, d = sys_cur.x.shape
@@ -893,31 +896,25 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
     t = 0.0
     t_end = config.t_end
     eps_t = 1e-12 * max(1.0, t_end)
-    segments_used = 0
 
     while t < t_end - eps_t:
         if sys_cur.partition.n_clusters == 1:
             sys_cur = _drift(store, sys_cur, t, t_end)
-            t = t_end
             break
-        if segments_used >= config.max_segments:
-            raise ContinuationError(
-                f"exceeded max_segments={config.max_segments} before reaching t_end"
-            )
-        segments_used += 1
-        t_term, state, event = _run_segment(sys_cur, t, t_end, config, store)
-        sys_cur = state
-        if event is None:
-            t = t_term
-            continue
-        t_floor = events[-1].t_event + eps_t if events else 0.0
-        t_clamped = min(max(event.t_event, t_floor), t_end)
-        if t_clamped != event.t_event:
-            event = replace(event, t_event=t_clamped)
-        events.append(event)
-        if event.kind == STICKING:
+        driver = _Driver(sys_cur, config)
+        y = np.concatenate([sys_cur.x.ravel(), sys_cur.v.ravel()])
+        event = None
+        while t < t_end - eps_t and (event is None or event.kind != STICKING):
+            t, y, event = _run_segment(driver, t, y, t_end, config, store)
+            if event is not None:
+                t_floor = events[-1].t_event + eps_t if events else 0.0
+                t_clamped = min(max(event.t_event, t_floor), t_end)
+                if t_clamped != event.t_event:
+                    event = replace(event, t_event=t_clamped)
+                events.append(event)
+        sys_cur = ParticleSystem(*driver.unpack(y), sys_cur.kernel, sys_cur.partition)
+        if event is not None and event.kind == STICKING:
             sys_cur = merge_clusters(sys_cur, event.group)
-        t = t_term
 
     ts, xs, vs, grid_mask = store.arrays()
     return PiecewiseTrajectory(

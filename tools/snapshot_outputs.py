@@ -111,6 +111,9 @@ CASES = [
     # the horizon falls inside the encounter: the probe's horizon exit
     ("unresolved_pair", "simulate", README_PAIR.replace("t_end = 0.7", "t_end = 0.4999")),
     ("storm_1d", "simulate", _generated(16, 1, 3, 5.0, 0.3)),
+    # seven non-stick crossings, each resuming on the same partition, then
+    # (0, 2) stick near t = 0.1065 and six clusters integrate to the end
+    ("storm_merge", "simulate", _generated(7, 1, 2, 4.0, 0.5)),
     ("swarm_2d", "simulate", _generated(48, 2, 3, 1.0, 0.2)),
     # d = 4: pair norms sum two even and two odd axes
     ("swarm_4d", "simulate", _generated(12, 4, 3, 5.0, 0.3)),
