@@ -62,6 +62,7 @@ class TestSolverConfig:
             {"d_stick": -1e-6},
             {"t_end": float("inf")},
             {"n_reg": 1},
+            {"v_stick": -1e-4},
             {"sample_dt": 0.0},
         ],
     )
