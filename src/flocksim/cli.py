@@ -24,8 +24,11 @@ rejection and scaled by ``speed``.
 Commands write into the output directory:
 
 * ``simulate``: ``trajectory.csv`` (header ``t,x_1_1..x_N_d,v_1_1..v_N_d``,
-  one row per sample, round-trippable decimal), ``events.jsonl`` (one
-  object per event: t_event, group, kind, rel_speed, min_dist).
+  one row per sample, round-trippable decimal: the ``repr`` of each
+  value), ``events.jsonl`` (one object per event: t_event, group, kind,
+  rel_speed, min_dist).  A column that repeats another's bit pattern on
+  every row, as the rows of a cluster do, is formatted once per row and
+  its text copied; the file's bytes do not depend on this.
 * ``twobody``: ``report.txt`` with the classification, the level-time
   table, and the bounded-kernel floor ratio when the kernel is the
   smooth family.
@@ -46,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -394,8 +398,39 @@ def _write_text(path: Path, content: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+# sample rows per block of the repeated-column check, which bounds the
+# size of the block copies it compares
+_CHECK_ROWS = 256
+
+
+def _repeat_sources(bits: np.ndarray) -> np.ndarray:
+    """Per column of ``bits``, a (samples, columns) ``uint64`` view of the
+    packed rows, the first column with its bit pattern on every row.
+
+    Candidate repeats share a bit pattern on the first row; each is then
+    compared with its group's first column, a block of rows at a time, and
+    one that differs on any row keeps its own column.  The map is exact,
+    and ``0.0`` and ``-0.0`` never share a column."""
+    ncol = bits.shape[1]
+    _, first, inverse = np.unique(bits[0], return_index=True, return_inverse=True)
+    src = first[inverse]
+    cand = np.flatnonzero(src != np.arange(ncol))
+    for lo in range(0, len(bits), _CHECK_ROWS):
+        if not cand.size:
+            break
+        block = bits[lo : lo + _CHECK_ROWS]
+        differs = np.any(block[:, cand] != block[:, src[cand]], axis=0)
+        src[cand[differs]] = cand[differs]
+        cand = cand[~differs]
+    return src
+
+
 def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
-    """Write trajectory.csv and events.jsonl with round-trippable decimals."""
+    """Write trajectory.csv and events.jsonl with round-trippable decimals.
+
+    A column that repeats another's bit pattern on every row (the rows of a
+    cluster, a zero axis) is formatted once per row and its text copied;
+    the file's bytes do not depend on this."""
     out = Path(out_dir)
     s, n, d = traj.x.shape
     header = ["t"]
@@ -406,7 +441,14 @@ def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
     # is the text _fmt writes.  Row by row, so that no more than one row
     # of float objects is alive at a time.
     rows = np.column_stack([traj.t, traj.x.reshape(s, -1), traj.v.reshape(s, -1)])
-    lines += [",".join(map(repr, row.tolist())) for row in rows]
+    src = _repeat_sources(rows.view(np.uint64))
+    heads = np.flatnonzero(src == np.arange(src.size))
+    if heads.size == src.size:
+        lines += [",".join(map(repr, row.tolist())) for row in rows]
+    else:
+        # each column's text is its source column's, by position in heads
+        fan = operator.itemgetter(*np.searchsorted(heads, src).tolist())
+        lines += [",".join(fan([*map(repr, row.tolist())])) for row in rows[:, heads]]
     _write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
 
     ev_lines = []

@@ -22,7 +22,7 @@ class SingularEvaluationError(FlockError, ArithmeticError):
 
 
 class DivergenceError(FlockError, ArithmeticError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state or derivative."""
 
 
 class LocalizationError(FlockError, ArithmeticError):

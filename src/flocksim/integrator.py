@@ -574,6 +574,10 @@ def _steps(solver, where: str):
     while solver.status == "running":
         msg = solver.step()
         if solver.status == "failed":
+            # a non-finite derivative makes every error norm NaN, so the
+            # step shrinks to underflow; name the cause, not the symptom
+            if not np.all(np.isfinite(solver.f)):
+                raise DivergenceError(f"non-finite derivative at t={solver.t}")
             raise LocalizationError(f"step size underflow {where}: {msg}")
         if not np.all(np.isfinite(solver.y)):
             raise DivergenceError(f"non-finite state at t={solver.t}")

@@ -2,11 +2,17 @@
 
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flocksim import cli
 from flocksim.cli import (
     SplitMix64,
     build_system,
@@ -14,11 +20,12 @@ from flocksim.cli import (
     main,
     parse_config,
     run_command,
+    serialize_trajectory,
 )
 from flocksim.convergence import _check_n_list
 from flocksim.dynamics import make_system
 from flocksim.errors import ConfigError, DomainError, ValidationError
-from flocksim.integrator import SolverConfig, solve_piecewise
+from flocksim.integrator import STICKING, PiecewiseTrajectory, SolverConfig, solve_piecewise
 from flocksim.kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
 from flocksim.twobody import (
     TwoBodyProblem,
@@ -486,6 +493,106 @@ class TestSimulateCommand:
         assert data.shape[1] == 1 + 2 * 3 * 2
 
 
+def _inline_text(rows_x, rows_v, t_end):
+    lines = ["[scenario]", f"n = {len(rows_x)}", f"d = {len(rows_x[0])}", "alpha = 0.5"]
+    lines += [f"x_{i} = " + " ".join(map(repr, r)) for i, r in enumerate(rows_x, 1)]
+    lines += [f"v_{i} = " + " ".join(map(repr, r)) for i, r in enumerate(rows_v, 1)]
+    return "\n".join(lines + ["[solver]", f"t_end = {t_end!r}"]) + "\n"
+
+
+def _packed_rows(traj):
+    s = len(traj.t)
+    return np.column_stack([traj.t, traj.x.reshape(s, -1), traj.v.reshape(s, -1)])
+
+
+def _repr_csv(traj) -> bytes:
+    """trajectory.csv by the plain formula: repr of every column of every row."""
+    s, n, d = traj.x.shape
+    header = ["t"]
+    header += [f"x_{i+1}_{k+1}" for i in range(n) for k in range(d)]
+    header += [f"v_{i+1}_{k+1}" for i in range(n) for k in range(d)]
+    lines = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in _packed_rows(traj)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestTrajectoryWriter:
+    """trajectory.csv is byte for byte the repr of every column, whichever
+    columns repeat."""
+
+    def _run(self, tmp_path, command, text):
+        config = parse_config(text, command, str(tmp_path / "out"))
+        assert run_command(config) == 0
+        traj = solve_piecewise(build_system(config.scenario), config.solver)
+        assert (tmp_path / "out" / "trajectory.csv").read_bytes() == _repr_csv(traj)
+        return traj
+
+    def test_two_clusters_with_signed_zero_axis(self, tmp_path):
+        # clusters of 2 and 4 rows closing along axis 0: the second axis is
+        # -0.0 in one cluster and 0.0 in the other, equal in value only
+        xa, xb = [-0.5, -0.5 * 0.0], [0.5, 0.5 * 0.0]
+        va, vb = [2.0, 2.0 * 0.0], [-2.0, -2.0 * 0.0]
+        text = _inline_text([xa] * 2 + [xb] * 4, [va] * 2 + [vb] * 4, 0.6)
+        traj = self._run(tmp_path, "diagnose", text)
+        assert traj.n_sticking == 1
+        first = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert first[1:13] == ["-0.5", "-0.0"] * 2 + ["0.5", "0.0"] * 4
+
+    def test_columns_equal_only_in_the_first_row(self, tmp_path):
+        # x_1_1 and x_2_1 start equal and part at once; the v_i_2 columns
+        # stay 0.0, and so does t in the first row only
+        text = _inline_text([[0.25, 0.0], [0.25, 1.0]], [[1.0, 0.0], [2.0, 0.0]], 0.1)
+        traj = self._run(tmp_path, "simulate", text)
+        rows = _packed_rows(traj)
+        assert rows[0, 1] == rows[0, 3] and np.all(rows[1:, 1] != rows[1:, 3])
+        assert rows[0, 0] == rows[0, 6] and np.all(rows[:, 6] == rows[:, 8])
+
+    def test_storm_without_repeats(self, tmp_path):
+        x, v = generate_scenario(8, 1, 3, box=1.0, speed=5.0)
+        traj = self._run(tmp_path, "simulate", _inline_text(x.tolist(), v.tolist(), 0.2))
+        assert traj.events
+        first = _packed_rows(traj)[0].view(np.uint64)
+        assert np.unique(first).size == first.size
+
+    def test_merge_into_one_drifting_cluster(self, tmp_path):
+        # a cluster of two rows meets a third row at the critical rate
+        # with mean velocity 7/6: their columns coincide only after the merge
+        text = _inline_text([[-0.5], [-0.5], [0.5]], [[2.5], [2.5], [-1.5]], 0.7)
+        traj = self._run(tmp_path, "simulate", text)
+        assert [(e.kind, e.group) for e in traj.events] == [(STICKING, (0, 1, 2))]
+        assert np.all(traj.x[-1] == traj.x[-1, 0]) and traj.x[-1, 0, 0] > 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_synthetic_rows(self, data):
+        s = data.draw(st.integers(1, 6), "samples")
+        n, d = data.draw(st.integers(1, 3), "n"), data.draw(st.integers(1, 3), "d")
+        m = n * d
+        # columns drawn from a few templates repeat; signed zeros and
+        # tiny values are frequent
+        value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324]) | st.floats()
+        column = st.lists(value, min_size=s, max_size=s)
+        templates = data.draw(st.lists(column, min_size=1, max_size=4), "templates")
+        picks = st.lists(st.sampled_from(templates), min_size=1 + 2 * m, max_size=1 + 2 * m)
+        rows = np.array(data.draw(picks, "columns"), dtype=float).T
+        # an entry changed after the first row parts repeated columns late
+        edit = st.tuples(st.integers(1, s - 1), st.integers(0, 2 * m), value)
+        for i, j, val in data.draw(st.lists(edit, max_size=4) if s > 1 else st.just([]), "edits"):
+            rows[i, j] = val
+        traj = PiecewiseTrajectory(
+            t=rows[:, 0].copy(),
+            x=rows[:, 1 : 1 + m].reshape(s, n, d),
+            v=rows[:, 1 + m :].reshape(s, n, d),
+            grid_mask=np.ones(s, dtype=bool),
+            events=[],
+            final_state=None,
+            config=SolverConfig(),
+        )
+        block_rows = data.draw(st.integers(1, 3), "block rows")
+        with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "_CHECK_ROWS", block_rows):
+            serialize_trajectory(traj, out)
+            assert (Path(out) / "trajectory.csv").read_bytes() == _repr_csv(traj)
+
+
 class TestTwoBodyCommand:
     def _run(self, tmp_path, body):
         cfg = tmp_path / "tb.cfg"
@@ -587,7 +694,7 @@ class TestExitCodes:
 
     def test_runtime_failure(self, tmp_path, capsys):
         # the velocity difference of a pair closing near the float limit
-        # overflows, and the main phase's step size underflows at once
+        # overflows, so the derivative at the start is not finite
         cfg = tmp_path / "hot.cfg"
         cfg.write_text(
             SIM_TEXT.replace("v_1 = 2.0", "v_1 = 1e308").replace("v_2 = -2.0", "v_2 = -1e308"),
@@ -596,12 +703,11 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "step size underflow" in err and "segment" in err
+        assert capsys.readouterr().err == "error: non-finite derivative at t=0.0\n"
 
     def test_failed_floor_check_is_a_runtime_failure(self, tmp_path, capsys):
-        # a rate near the float limit overflows the state and the step
-        # size underflows: a numerical failure, not an invalid input
+        # a rate near the float limit overflows the derivative at the
+        # start: a numerical failure, not an invalid input
         cfg = tmp_path / "floor.cfg"
         cfg.write_text(
             "[scenario]\nkernel = cucker_smale\n[twobody]\nphi0 = 1.0\ndphi0 = 1e308\n",
@@ -610,4 +716,4 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["twobody", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "step size underflow in the floor check" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: non-finite derivative at t=0.0\n"

@@ -5,7 +5,7 @@ import pytest
 
 from flocksim.convergence import ConvergenceReport, cauchy_table, run_family
 from flocksim.dynamics import make_system
-from flocksim.errors import DomainError, LocalizationError
+from flocksim.errors import DivergenceError, DomainError
 from flocksim.integrator import NON_STICK, STICKING, SolverConfig, solve_piecewise
 from flocksim.kernels import SingularKernel
 
@@ -46,11 +46,11 @@ class TestRunFamily:
 
     def test_error_names_cap_index(self):
         # the velocity difference of a pair closing near the float limit
-        # overflows, and the first run's step size underflows at once
+        # overflows, so the first run's derivative at the start is not finite
         x, v = _head_on(1e308)
         cfg = SolverConfig(t_end=2.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(LocalizationError, match="^cap index n=10: step size underflow"):
+            with pytest.raises(DivergenceError, match=r"^cap index n=10: non-finite derivative at t=0\.0$"):
                 run_family(x, v, 0.5, (10, 100), cfg)
 
     def test_n_list_validation(self):

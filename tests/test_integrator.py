@@ -617,6 +617,14 @@ class TestStepFailures:
             with pytest.raises(DivergenceError, match=r"non-finite state at t=5\.0"):
                 list(integrator._steps(solver, "in the phase"))
 
+    def test_non_finite_derivative_is_divergence(self):
+        # f(t0) = inf makes every error norm NaN; the step shrinks to
+        # underflow, which is reported by its cause
+        with np.errstate(invalid="ignore"):
+            solver = integrator.RK45(lambda t, y: np.array([np.inf]), 0.0, np.array([0.0]), 1.0)
+            with pytest.raises(DivergenceError, match=r"^non-finite derivative at t=0\.0$"):
+                list(integrator._steps(solver, "in the phase"))
+
 
 class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -64,10 +64,13 @@ def _twobody(phi0: float, dphi0: float, weight: str = "alpha = 0.5") -> str:
     )
 
 
-def _two_cluster(n: int, m: int, d: int, alpha: float, t_end: float, u=None) -> str:
+def _two_cluster(
+    n: int, m: int, d: int, alpha: float, t_end: float, u=None, direction=(1.0, 2.0, 3.0)
+) -> str:
     """Clusters of m and n-m coincident rows closing at speed u (by default
-    the critical rate) from unit separation along a fixed direction."""
-    raw = [1.0, 2.0, 3.0][:d]
+    the critical rate) from unit separation along ``direction`` (its first
+    d components)."""
+    raw = list(direction[:d])
     norm = math.sqrt(sum(c * c for c in raw))
     e = [c / norm for c in raw]
     if u is None:
@@ -129,6 +132,9 @@ CASES = [
     ),
     ("diagnose_2c", "diagnose", _two_cluster(6, 2, 3, 0.5, 0.6)),
     ("diagnose_2c_alpha_quarter", "diagnose", _two_cluster(6, 1, 2, 0.25, 1.8)),
+    # along axis 0 the second axis is -0.0 in one cluster and 0.0 in the
+    # other: columns equal in value, not in bits, side by side
+    ("diagnose_2c_signed_zero", "diagnose", _two_cluster(6, 2, 2, 0.5, 0.6, direction=(1.0, 0.0))),
     # 8 x 24 = 192 coincident pairs in one chase column and one diagnose event
     ("diagnose_2c_wide", "diagnose", _two_cluster(32, 8, 2, 0.5, 0.6)),
     # bounded weight with non-default K and beta: a head-on pass-through
