@@ -529,8 +529,8 @@ class TestTrajectoryWriter:
     def test_two_clusters_with_signed_zero_axis(self, tmp_path):
         # clusters of 2 and 4 rows closing along axis 0: the second axis is
         # -0.0 in one cluster and 0.0 in the other, equal in value only
-        xa, xb = [-0.5, -0.5 * 0.0], [0.5, 0.5 * 0.0]
-        va, vb = [2.0, 2.0 * 0.0], [-2.0, -2.0 * 0.0]
+        xa, xb = [-0.5, -0.0], [0.5, 0.0]
+        va, vb = [2.0, 0.0], [-2.0, -0.0]
         text = _inline_text([xa] * 2 + [xb] * 4, [va] * 2 + [vb] * 4, 0.6)
         traj = self._run(tmp_path, "diagnose", text)
         assert traj.n_sticking == 1
