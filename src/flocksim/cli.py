@@ -34,7 +34,9 @@ Commands write into the output directory:
   smooth family.
 * ``converge``: ``convergence.csv`` with columns
   ``n,sup_dx,sup_dv,reference_gap_x,reference_gap_v`` (consecutive-gap
-  fields are empty on the first row).
+  fields are empty on the first row).  Each run's cap is its ``n_list``
+  entry, so the command rejects a ``[solver]`` ``n_reg`` and its
+  ``meta.txt`` has none.
 * ``diagnose``: ``report.txt`` (flat ``key = value`` lines),
   ``r_series.csv``, and the ``simulate`` files.
 
@@ -341,6 +343,8 @@ def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out
         _validate_system_scenario(scenario, command)
     if command == "converge" and n_list is None:
         raise ValidationError("converge needs a [converge] section", key="n_list")
+    if command == "converge" and "n_reg" in sections.get("solver", {}):
+        raise ValidationError("converge takes its caps from [converge] n_list", key="n_reg")
     if command == "twobody":
         if twobody is None:
             raise ValidationError("twobody needs a [twobody] section", key="phi0")
@@ -483,6 +487,8 @@ def _meta_text(config: RunConfig) -> str:
             under = _ONLY_UNDER.get(key)
             if val is None or (under is not None and under not in words):
                 continue
+            if key == "n_reg" and config.command == "converge":
+                continue  # each cap comes from n_list
             lines.append(f"{key} = {_fmt(val) if kind is float else val}")
         blocks.append(lines)
     sc = config.scenario

@@ -7,6 +7,15 @@ against the largest-n run.  Because the capped weights agree above their
 floor, runs whose separations never visit the floor region are bitwise
 identical and every gap is exactly zero; otherwise the gaps concentrate
 near close encounters and shrink as n grows.
+
+The same fact lets the runs share their common prefix.  Each run after
+the first resumes from a state the run of the next-smaller cap recorded:
+the last step boundary of its first main phase before any RHS call (a
+rejected attempt or a starting call included) saw a separation below that
+cap's ``bridge_end``.  Up to there the larger cap's weight is the same,
+so the run goes on exactly as its own solve would.  Points lie in the
+first main phase only: it has no event and one partition, while the
+encounter probe's fit floor depends on the cap.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from .dynamics import make_system
 from .errors import DomainError
-from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
+from .integrator import PiecewiseTrajectory, SolverConfig, _Chain, _solve
 from .kernels import SingularKernel, _check_int
 
 __all__ = ["ConvergenceReport", "run_family", "cauchy_table"]
@@ -58,15 +67,26 @@ def run_family(
     n_list,
     config: SolverConfig,
 ) -> list[PiecewiseTrajectory]:
-    """One piecewise solve per cap index, shared data and tolerances."""
+    """One piecewise solve per cap index, shared data and tolerances.
+
+    Each run equals ``solve_piecewise`` on its own cap, bit for bit.  The
+    runs go in ``n_list`` order, so an error comes from the first cap whose
+    own solve raises it.  Each run after the first resumes from the last
+    step boundary of the previous run's first main phase at which every
+    RHS call so far saw each inter-cluster separation at or above that
+    cap's ``bridge_end``: up to there the larger cap's weight is the same.
+    Only the first main phase is shared, since it has no event and one
+    partition, while the probe's fit floor depends on the cap."""
     ns = _check_n_list(n_list)
     kernel = SingularKernel(alpha=alpha)
     runs = []
-    for n in ns:
+    chain = _Chain()
+    for k, n in enumerate(ns):
         system = make_system(x, v, kernel)
         cfg = replace(config, n_reg=n)
+        chain.record = k + 1 < len(ns)
         try:
-            runs.append(solve_piecewise(system, cfg))
+            runs.append(_solve(system, cfg, chain))
         except Exception as exc:
             raise type(exc)(f"cap index n={n}: {exc}") from exc
     return runs

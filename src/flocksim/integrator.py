@@ -66,6 +66,14 @@ integrated as it is.  The cap has that one setting, so a system built on
 a regularized kernel is rejected.  All stepping is deterministic, so
 identical configurations reproduce trajectories bitwise.
 
+A cap family (:func:`flocksim.convergence.run_family`) solves through
+the same loop.  Its runs' first main phases resume at and record a
+:class:`_ResumePoint`: the stepper's state, the armed mask and the sample
+count at a step boundary, taken while every RHS call has seen each
+inter-cluster separation on the power branch of the working kernel, where
+a larger cap's weight is the same (:class:`_Chain`).  A plain solve
+neither resumes nor records.
+
 The stepper is :class:`RK45`, the package's own Dormand-Prince 5(4)
 (DOPRI5) with FSAL stages and quartic dense output.  It matches scipy's
 ``RK45`` bit for bit, so the solver needs numpy only.
@@ -73,6 +81,7 @@ The stepper is :class:`RK45`, the package's own Dormand-Prince 5(4)
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -207,14 +216,21 @@ class _Driver:
         # second copy (2 MB of peak RSS over 120 runs of an N = 128 swarm)
         self.watch = self.pairs if part.n_clusters == self.n else part.root_pairs()
         self.pi, self.pj = self.watch
+        # set while a cap family's first main phase records its resume
+        # points (:class:`_Chain`), and cleared by the first RHS call that
+        # sees an inter-cluster separation below it
+        self.power_floor: Optional[float] = None
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         # a fresh array per call: the stepper keeps each returned derivative
         dy = np.empty_like(y)
         dy[: self.nd] = y[self.nd :]
         shape = (self.n, self.d)
-        acceleration_arrays(y[: self.nd].reshape(shape), y[self.nd :].reshape(shape),
+        x = y[: self.nd].reshape(shape)
+        acceleration_arrays(x, y[self.nd :].reshape(shape),
                             self.pairs, self.kernel, self.slots, out=dy[self.nd :].reshape(shape))
+        if self.power_floor is not None and not pair_norms(x, self.pairs).min() >= self.power_floor:
+            self.power_floor = None  # a NaN separation clears it too
         return dy
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,6 +585,50 @@ def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config:
     )
 
 
+class _ResumePoint:
+    """A main-phase step boundary: a copy of the stepper there, the watch's
+    armed mask, and the sample store with its length.  A step replaces the
+    stepper's ``t``, ``y``, ``f``, ``h_abs`` and ``status`` and writes only
+    into its stages ``K``, and stored rows are never written again, so a
+    run that resumes here needs fresh stages only and shares the store's
+    first ``rows`` rows."""
+
+    __slots__ = ("solver", "armed", "store", "rows")
+
+    def __init__(self, solver: RK45, armed: np.ndarray, store: _SampleStore):
+        self.solver = copy.copy(solver)
+        self.armed = armed.copy()
+        self.store = store
+        self.rows = len(store.ts)
+
+    def stepper(self, driver: _Driver) -> RK45:
+        """The stepper at the boundary, stepping ``driver``'s RHS."""
+        solver = copy.copy(self.solver)
+        solver.fun = driver.rhs
+        solver.K = np.empty_like(solver.K)
+        return solver
+
+
+class _Chain:
+    """The link between consecutive members of a cap family.
+
+    ``RegularizedKernel(alpha, n)`` returns exactly ``s**(-alpha)`` when
+    every separation is at least its ``bridge_end``, which falls as n
+    grows, so two members step bit for bit alike until one of them
+    evaluates its RHS below its own ``bridge_end``.  A member resumes its
+    first main phase at ``point`` (None: from its start), and when
+    ``record`` is set it leaves there the last step boundary of that phase
+    at which every RHS call so far (rejected attempts and the stepper's
+    two starting calls included) saw each inter-cluster separation at or
+    above its kernel's ``bridge_end``.  That phase has no event and one
+    partition; from the probe on, the fit floor depends on the cap too, so
+    no point lies there."""
+
+    def __init__(self) -> None:
+        self.point: Optional[_ResumePoint] = None
+        self.record = False
+
+
 def _steps(solver, where: str):
     """Step ``solver`` to its bound, yielding ``(t_old, t, y, dense)`` per step."""
     while solver.status == "running":
@@ -735,19 +795,34 @@ def _run_segment(
     t1: float,
     config: SolverConfig,
     store: _SampleStore,
+    chain: Optional[_Chain] = None,
 ) -> tuple[float, np.ndarray, Optional[CollisionEvent]]:
     """One main phase from ``(t0, y0)`` towards ``t1``: where it stopped,
-    ``(t, y)``, and the event that stopped it (None at ``t1``)."""
-    store.emit(t0, y0)
-    solver = _stepper(driver, t0, y0, t1, config)
-
-    # pairs already inside d_stick at the phase start stay disarmed until
-    # they climb back out, so a fresh phase does not instantly retrigger
+    ``(t, y)``, and the event that stopped it (None at ``t1``).  With a
+    ``chain``, the phase is a cap family member's first: it resumes at the
+    chain's point, if any, and records its own there if asked."""
     d_stick = config.d_stick
-    armed = driver.pair_dists(y0) > d_stick
+    point = None
+    if chain is not None:
+        point = chain.point
+        if chain.record:
+            driver.power_floor = driver.kernel.bridge_end
+    if point is None:
+        store.emit(t0, y0)
+        solver = _stepper(driver, t0, y0, t1, config)
+        # pairs already inside d_stick at the phase start stay disarmed until
+        # they climb back out, so a fresh phase does not instantly retrigger
+        armed = driver.pair_dists(y0) > d_stick
+    else:
+        store.ts = point.store.ts[: point.rows]
+        store.ys = point.store.ys[: point.rows]
+        solver = point.stepper(driver)
+        armed = point.armed.copy()
+    if driver.power_floor is not None:
+        chain.point = _ResumePoint(solver, armed, store)
     tol = max(_BISECT_TOL_FACTOR * (t1 - t0), 1e-15)
 
-    t_end, y_end, event = t1, y0, None
+    t_end, y_end, event = t1, solver.y, None
     steps = _steps(solver, f"below {tol:.3e} while advancing the segment")
     for t_prev, t_now, y_now, dense in steps:
         ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
@@ -757,45 +832,45 @@ def _run_segment(
         # others can neither be candidates nor change their armed bits, so
         # a step without such a pair only stores its samples
         live = driver.live_pairs(ys_sub, t_now - t_prev, float(bound.max()), armed, d_stick)
-        if not live.size:
-            store.emit_grid_range(dense, t_prev, t_now)
-            y_end = y_now
-            continue
-        dists = driver.pair_dists(ys_sub, live)
-        chase, armed[live] = driver.crossing_candidates(
-            ys_sub, dists, np.diff(ts_sub), bound, armed, live, d_stick
-        )
-        # per column with candidates, each one's crossing is bracketed: a
-        # hit's by the subinterval, a dip's up to its closest approach found
-        # by golden section; the earliest crossing in the column wins
         crossing_t = crossing_k = None
-        for c in np.flatnonzero(chase.any(axis=1)):
-            t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
-            for j in np.flatnonzero(chase[c]):
-                k = live[j]
+        if live.size:
+            dists = driver.pair_dists(ys_sub, live)
+            chase, armed[live] = driver.crossing_candidates(
+                ys_sub, dists, np.diff(ts_sub), bound, armed, live, d_stick
+            )
+            # per column with candidates, each one's crossing is bracketed: a
+            # hit's by the subinterval, a dip's up to its closest approach
+            # found by golden section; the earliest crossing in the column wins
+            for c in np.flatnonzero(chase.any(axis=1)):
+                t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
+                for j in np.flatnonzero(chase[c]):
+                    k = live[j]
 
-                def gap(s):
-                    return float(driver.pair_dists(dense(s), k))
+                    def gap(s):
+                        return float(driver.pair_dists(dense(s), k))
 
-                t_in = t_col
-                if dists[c + 1, j] > d_stick:
-                    t_in = _golden_min(gap, t_lo, t_col, tol)
-                    if gap(t_in) > d_stick:
-                        continue
-                t_c = _bisect_crossing(gap, d_stick, t_lo, t_in, tol)
-                if crossing_t is None or t_c < crossing_t:
-                    crossing_t, crossing_k = t_c, k
-            if crossing_t is not None:
-                break
+                    t_in = t_col
+                    if dists[c + 1, j] > d_stick:
+                        t_in = _golden_min(gap, t_lo, t_col, tol)
+                        if gap(t_in) > d_stick:
+                            continue
+                    t_c = _bisect_crossing(gap, d_stick, t_lo, t_in, tol)
+                    if crossing_t is None or t_c < crossing_t:
+                        crossing_t, crossing_k = t_c, k
+                if crossing_t is not None:
+                    break
 
         if crossing_t is not None:
             y_cross = dense(crossing_t)
             store.emit_grid_range(dense, t_prev, crossing_t)
             store.emit(crossing_t, y_cross)
+            driver.power_floor = None
             event, t_end, y_end = _probe(driver, crossing_t, y_cross, crossing_k, t1, tol, config, store)
             break
         store.emit_grid_range(dense, t_prev, t_now)
         y_end = y_now
+        if driver.power_floor is not None:
+            chain.point = _ResumePoint(solver, armed, store)
     else:
         store.emit(t1, y_end)
 
@@ -893,6 +968,13 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
     (a shorter one raises :class:`LocalizationError`), so time strictly
     increases.
     """
+    return _solve(system, config)
+
+
+def _solve(system: ParticleSystem, config: SolverConfig,
+           chain: Optional[_Chain] = None) -> PiecewiseTrajectory:
+    """:func:`solve_piecewise`, whose first main phase resumes at and
+    records into ``chain`` (see :class:`_Chain`) when one is given."""
     sys_cur = system.copy()
     n, d = sys_cur.x.shape
     store = _SampleStore(n, d, config.sample_dt)
@@ -909,7 +991,8 @@ def solve_piecewise(system: ParticleSystem, config: SolverConfig) -> PiecewiseTr
         y = np.concatenate([sys_cur.x.ravel(), sys_cur.v.ravel()])
         event = None
         while t < t_end - eps_t and (event is None or event.kind != STICKING):
-            t, y, event = _run_segment(driver, t, y, t_end, config, store)
+            t, y, event = _run_segment(driver, t, y, t_end, config, store, chain)
+            chain = None  # only the first main phase resumes or records
             if event is not None:
                 t_floor = events[-1].t_event + eps_t if events else 0.0
                 t_clamped = min(max(event.t_event, t_floor), t_end)

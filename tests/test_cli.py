@@ -386,6 +386,17 @@ class TestParseErrors:
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(head + "[converge]\nn_list = 5 50\ncaps = 3\n", command="converge")
 
+    def test_converge_takes_no_cap_index(self, tmp_path):
+        # each member's cap comes from n_list, so an n_reg would go unused
+        text = SIM_TEXT + "n_reg = 50\n[converge]\nn_list = 5 50\n"
+        with pytest.raises(ValidationError, match=r"caps from \[converge\] n_list") as err:
+            parse_config(text, command="converge")
+        assert err.value.key == "n_reg"
+        assert parse_config(text, command="simulate").solver.n_reg == 50
+        config = parse_config(SIM_TEXT + "[converge]\nn_list = 5 50\n", "converge", str(tmp_path))
+        assert run_command(config) == 0
+        assert "n_reg" not in (tmp_path / "meta.txt").read_text()
+
 
 @pytest.fixture(scope="module")
 def sim_out(tmp_path_factory):

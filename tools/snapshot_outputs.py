@@ -108,6 +108,8 @@ def _inline(rows_x, rows_v, alpha: float, t_end: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+_N_LIST = "\n[converge]\nn_list = "
+
 CASES = [
     # (name, command, config text)
     ("readme_pair", "simulate", README_PAIR),
@@ -163,6 +165,20 @@ CASES = [
     # (1 - alpha) / (2 alpha): the power-law fit sets the event time
     ("stick_alpha_07", "simulate", _two_cluster(2, 1, 1, 0.7, 1.2 * 0.3 / 1.4)),
     ("swarm_dip", "simulate", _swarm_dip()),
+    # cap families whose runs share a prefix: a storm whose first crossing
+    # comes before any member leaves the power branch, a pair that starts
+    # inside the smallest cap's bridge, and a pair that never comes close
+    ("converge_storm", "converge", _generated(6, 1, 7, 5.0, 0.05) + _N_LIST + "1000 10000 100000\n"),
+    (
+        "converge_inside_bridge",
+        "converge",
+        _inline([[-0.0055], [0.0055]], [[1.0], [-1.0]], 0.5, 0.1) + _N_LIST + "10 100 1000\n",
+    ),
+    (
+        "converge_free",
+        "converge",
+        _inline([[-0.5], [0.5]], [[0.5], [-0.5]], 0.5, 5.0) + _N_LIST + "5 50 500\n",
+    ),
 ]
 
 # (name, command, config text) of configs that parse_config must reject
@@ -213,6 +229,7 @@ INVALID = [
     ("bad_n_list_entry", "converge", _INLINE + "[converge]\nn_list = 5 lots\n"),
     ("small_cap_in_n_list", "converge", _INLINE + "[converge]\nn_list = 1 5\n"),
     ("converge_bounded", "converge", _INLINE + "kernel = cucker_smale\n[converge]\nn_list = 5 50\n"),
+    ("converge_n_reg", "converge", _INLINE + "[solver]\nn_reg = 50\n[converge]\nn_list = 5 50\n"),
 ]
 
 
