@@ -39,7 +39,7 @@ def _workloads():
     return workloads
 
 
-def assert_family_is_independent_solves(x, v, alpha, n_list, config):
+def _assert_family_is_independent_solves(x, v, alpha, n_list, config):
     """``run_family`` returns, bit for bit, one independent solve per cap."""
     runs = run_family(x, v, alpha, n_list, config)
     assert len(runs) == len(n_list)
@@ -127,7 +127,7 @@ class TestSharedPrefix:
         # the benchmark's seed-1 configs, one per schedule entry
         config = parse_config(_workloads()._make_converge(1, slot).text, "converge", str(tmp_path))
         system = build_system(config.scenario)
-        assert_family_is_independent_solves(
+        _assert_family_is_independent_solves(
             system.x, system.v, config.scenario.alpha, config.n_list, config.solver
         )
 
@@ -136,8 +136,8 @@ class TestSharedPrefix:
         # the crossing at t = 0.0182 (bridge_end(1000) is 1.002e-6, just
         # above d_stick), so all share that phase; the probes differ
         x, v = generate_scenario(6, 1, 7, box=1.0, speed=5.0)
-        runs = assert_family_is_independent_solves(x, v, 0.5, (1000, 10**4, 10**5),
-                                                   SolverConfig(t_end=0.05))
+        runs = _assert_family_is_independent_solves(x, v, 0.5, (1000, 10**4, 10**5),
+                                                    SolverConfig(t_end=0.05))
         assert [len(run.events) for run in runs] == [3, 3, 3]
         assert runs[0].events[0].t_event != runs[1].events[0].t_event
 
@@ -149,18 +149,18 @@ class TestSharedPrefix:
         v = np.array([[1.0], [-1.0]])
         kernel = RegularizedKernel(alpha=0.5, n=10)
         assert kernel.cap_end < 0.011 < kernel.bridge_end
-        runs = assert_family_is_independent_solves(x, v, 0.5, (10, 100, 1000), SolverConfig(t_end=0.1))
+        runs = _assert_family_is_independent_solves(x, v, 0.5, (10, 100, 1000), SolverConfig(t_end=0.1))
         assert [[e.kind for e in run.events] for run in runs] == [[NON_STICK]] * 3
 
     def test_one_cluster_drifts(self):
         x = np.array([[0.25, -1.0]] * 3)
         v = np.array([[1.0, 0.5]] * 3)
-        runs = assert_family_is_independent_solves(x, v, 0.5, (10, 100), SolverConfig(t_end=0.3))
+        runs = _assert_family_is_independent_solves(x, v, 0.5, (10, 100), SolverConfig(t_end=0.3))
         assert runs[-1].final_state.partition.n_clusters == 1
 
     def test_collision_free_family(self):
         x, v = _head_on(0.5)
-        assert_family_is_independent_solves(x, v, 0.5, (5, 50, 500), SolverConfig())
+        _assert_family_is_independent_solves(x, v, 0.5, (5, 50, 500), SolverConfig())
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -178,8 +178,8 @@ class TestSharedPrefix:
         x = np.array([[-(n - m) / n * phi0]] * m + [[m / n * phi0]] * (n - m))
         v = np.array([[(n - m) / n * u]] * m + [[-m / n * u]] * (n - m))
         t_end = 1.25 * (1.0 - alpha) * phi0**alpha / (2.0 * alpha)
-        assert_family_is_independent_solves(x, v, alpha, (10, 100, 1000, 10**4),
-                                            SolverConfig(t_end=t_end))
+        _assert_family_is_independent_solves(x, v, alpha, (10, 100, 1000, 10**4),
+                                             SolverConfig(t_end=t_end))
 
     def test_free_family_members_make_no_rhs_call(self, monkeypatch):
         # the orbit never nears the smallest bridge, so the first member's
