@@ -12,16 +12,20 @@ where the sum runs over all k outside i's cluster.  Stuck particles still
 count individually in the sums of others, so a cluster of size m pulls
 with multiplicity m.  The 2/N coupling is chosen so that two particles
 obey the separation equation ``d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt``
-solved in closed form by the twobody module.  The kernel is evaluated only
-on the pairs of :meth:`ClusterPartition.inter_pairs`: their separations
-come from :func:`pair_norms`, which sums the squared components in one
-written-out order (the even axes, then the odd axes), and the P weights
-are scattered into a flattened N x N buffer through the linear indices
-``i*N + j`` and ``j*N + i``.  :func:`pair_slots` builds the indices and the
-zeroed buffer once for a fixed pair list (that of the solver's driver for
-one partition), so a call writes only the P weights and every entry off
-the list stays zero.  The force reduction then reads that matrix and
-works in place.
+solved in closed form by the twobody module.
+
+One call of :func:`acceleration_arrays` is a fixed sequence on the pairs
+of :meth:`ClusterPartition.inter_pairs`: their separations from
+:func:`pair_norms` (which sums the squared components in one written-out
+order, the even axes, then the odd axes, and takes the root of the single
+square when d = 1), the P kernel weights on them, scattered into a
+flattened N x N buffer through the linear indices ``i*N + j`` and
+``j*N + i``, then the force reduction: one matrix product of the weights
+with the velocities, less each row's weight sum times the row's velocity,
+scaled by 2/N in place.  :func:`pair_slots` builds the indices, the zeroed
+weight buffer and the separation buffer once for a fixed pair list (that
+of the solver's driver for one partition), so a call writes only the P
+separations and weights, and every weight off the list stays zero.
 
 A cluster is named by its smallest member, its root.  A cluster's rows
 coincide bitwise, so the pairs across two clusters share one gap, and the
@@ -135,19 +139,20 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     return ParticleSystem(x, v, kernel, part)
 
 
-def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Linear indices ``(i*n + j, j*n + i)`` of ``pairs`` in a flattened
-    n x n matrix, and a zeroed ``(n*n,)`` weight buffer for them.  A caller
-    that reuses one pair list builds them once; each
-    :func:`acceleration_arrays` call then writes only the listed entries of
-    the buffer, so every other entry stays zero."""
+    n x n matrix, a zeroed ``(n*n,)`` weight buffer for them, and a
+    ``(P,)`` buffer for their separations.  A caller that reuses one pair
+    list builds them once; each :func:`acceleration_arrays` call then
+    writes the P separations and only the listed entries of the weight
+    buffer, so every other entry stays zero."""
     pi, pj = pairs
-    return pi * n + pj, pj * n + pi, np.zeros(n * n)
+    return pi * n + pj, pj * n + pi, np.zeros(n * n), np.empty(pi.size)
 
 
-def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
+def pair_norms(z: np.ndarray, pairs, out=None) -> np.ndarray:
     """Norms ``|z[..., j, :] - z[..., i, :]|``, shape ``(..., P)``, over ``pairs``
-    of rows ``z`` shaped ``(..., N, d)``.
+    of rows ``z`` shaped ``(..., N, d)``; written into ``out`` when given.
 
     The squared differences are summed in one written-out order, the even
     axes first, then the odd axes: ``(s0 + s2 + ...) + (s1 + s3 + ...)``.
@@ -161,51 +166,47 @@ def pair_norms(z: np.ndarray, pairs) -> np.ndarray:
     sq -= z.take(pi, axis=-2)
     sq *= sq
     d = z.shape[-1]
+    if d == 1:
+        return np.sqrt(sq[..., 0], out=out)
     total = reduce(np.add, (sq[..., k] for k in range(0, d, 2)))
-    if d > 1:
-        total = total + reduce(np.add, (sq[..., k] for k in range(1, d, 2)))
-    return np.sqrt(total)
-
-
-def _pair_weights(x: np.ndarray, pairs, kernel: WeightKernel, slots) -> np.ndarray:
-    """Symmetric ``(n, n)`` matrix of kernel weights on ``pairs`` (index
-    arrays from :meth:`ClusterPartition.inter_pairs`), zero elsewhere,
-    written into the buffer of their :func:`pair_slots` ``slots``.  The
-    matrix is that buffer: the next call on the same slots overwrites it.
-
-    Raises :class:`SingularEvaluationError` if the singular kernel meets a
-    zero separation on one of them.
-    """
-    n = x.shape[0]
-    ij, ji, w = slots
-    dist = pair_norms(x, pairs)
-    if isinstance(kernel, SingularKernel) and np.any(dist == 0.0):
-        raise SingularEvaluationError(
-            "zero separation between distinct clusters under the singular weight"
-        )
-    w[ij] = w[ji] = kernel.weight(dist)
-    return w.reshape(n, n)
+    total = total + reduce(np.add, (sq[..., k] for k in range(1, d, 2)))
+    return np.sqrt(total, out=out)
 
 
 def acceleration_arrays(
     x: np.ndarray, v: np.ndarray, pairs, kernel: WeightKernel, slots, out=None
 ) -> np.ndarray:
     """Alignment acceleration, one row per particle, from the weights on
-    ``pairs`` and their :func:`pair_slots` ``slots``; written into ``out``
-    (an ``(n, d)`` array) when given, else into a new array.
+    ``pairs`` (index arrays from :meth:`ClusterPartition.inter_pairs`) and
+    their :func:`pair_slots` ``slots``; written into ``out`` (an ``(n, d)``
+    array) when given, else into a new array.
+
+    The call leaves the pairs' separations in the slots' separation buffer
+    and the symmetric ``(n, n)`` weight matrix, zero off the pairs, in
+    their weight buffer; the next call on the same slots overwrites both.
+    Raises :class:`SingularEvaluationError` if the singular kernel meets a
+    zero separation on one of the pairs.
 
     Rows of stuck particles are identical, and the column means vanish up
     to roundoff, so the mean velocity is a conserved quantity of the flow.
     """
-    w = _pair_weights(x, pairs, kernel, slots)
+    n = x.shape[0]
+    ij, ji, w, dist = slots
+    pair_norms(x, pairs, out=dist)
+    if isinstance(kernel, SingularKernel) and (dist == 0.0).any():
+        raise SingularEvaluationError(
+            "zero separation between distinct clusters under the singular weight"
+        )
+    w[ij] = w[ji] = kernel.weight(dist)
+    w = w.reshape(n, n)
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
     # The 2/N coupling makes the two-particle system reduce exactly to the
     # separation equation d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt that the
     # twobody module solves in closed form.
     a = np.matmul(w, v, out=out)
-    a -= w.sum(axis=1)[:, None] * v
-    a *= 2.0 / x.shape[0]
+    a -= np.add.reduce(w, axis=1, keepdims=True) * v
+    a *= 2.0 / n
     return a
 
 

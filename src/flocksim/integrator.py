@@ -208,6 +208,7 @@ class _Driver:
         self.fit_floor = _fit_floor(self.kernel)
         self.n, self.d = system.x.shape
         self.nd = self.n * self.d
+        self.halves = (2, self.n, self.d)  # a packed state's positions and velocities
         part = system.partition
         self.pairs = part.inter_pairs()
         self.slots = pair_slots(self.pairs, self.n)
@@ -224,12 +225,12 @@ class _Driver:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         # a fresh array per call: the stepper keeps each returned derivative
         dy = np.empty_like(y)
-        dy[: self.nd] = y[self.nd :]
-        shape = (self.n, self.d)
-        x = y[: self.nd].reshape(shape)
-        acceleration_arrays(x, y[self.nd :].reshape(shape),
-                            self.pairs, self.kernel, self.slots, out=dy[self.nd :].reshape(shape))
-        if self.power_floor is not None and not pair_norms(x, self.pairs).min() >= self.power_floor:
+        xv = y.reshape(self.halves)
+        dxv = dy.reshape(self.halves)
+        dxv[0] = xv[1]
+        acceleration_arrays(xv[0], xv[1], self.pairs, self.kernel, self.slots, out=dxv[1])
+        # the call left the separations in the slots
+        if self.power_floor is not None and not self.slots[3].min() >= self.power_floor:
             self.power_floor = None  # a NaN separation clears it too
         return dy
 
@@ -244,7 +245,10 @@ class _Driver:
         with ``sel``, those of the watched pairs it indexes (an index array,
         or one index for one pair's norms).  An entry rounds the same
         whatever pairs are computed beside it (:func:`pair_norms`)."""
-        rows = np.ascontiguousarray(z.T).reshape(z.shape[1:] + (self.n, self.d))
+        if z.ndim == 1:
+            rows = z.reshape(self.n, self.d)
+        else:
+            rows = np.ascontiguousarray(z.T).reshape(z.shape[1:] + (self.n, self.d))
         return pair_norms(rows, self.watch if sel is None else (self.pi[sel], self.pj[sel]))
 
     def pair_dists(self, y: np.ndarray, sel=None) -> np.ndarray:
@@ -294,8 +298,9 @@ class _Driver:
         moved = x - x[:, :, :1]
         travel = math.sqrt(np.einsum("idc,idc->ic", moved, moved).max())
         pad = _CULL_PAD * float(np.abs(x).max())
-        gaps = self._pair_norms(block[: self.nd, 0])
-        return np.flatnonzero((gaps <= 2.0 * (d_stick + 2.0 * travel + h * speed + pad)) | ~armed)
+        live = pair_norms(x[:, :, 0], self.watch) <= 2.0 * (d_stick + 2.0 * travel + h * speed + pad)
+        live |= ~armed
+        return live.nonzero()[0]
 
     def crossing_candidates(self, block: np.ndarray, dists: np.ndarray, dt_sub: np.ndarray,
                             bound: np.ndarray, armed: np.ndarray, live: np.ndarray, d_stick: float):
@@ -310,14 +315,15 @@ class _Driver:
         endpoint gap minus the travel it could manage in the subinterval
         reaches d_stick: one at or below it at column c + 1 (a threshold
         hit), or a fast pair that can dip below and climb back out."""
-        armed = armed[live] | np.logical_or.accumulate(dists[1:] > d_stick, axis=0)
+        above = dists > d_stick
+        armed = armed[live] | np.logical_or.accumulate(above[1:], axis=0)
         reach = np.minimum(dists[:-1], dists[1:])
-        chase = armed & (dists[:-1] > d_stick)
+        chase = armed & above[:-1]
         # the pair speeds are needed only if the per-column speed bound,
         # whose travel rounds to at least every pair's, lets a pair get
         # there; if not, the bare gaps of the chase pairs exceed d_stick too
         lead = np.where(chase, reach, math.inf).min(axis=1, initial=math.inf)
-        if np.any(lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick):
+        if (lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick).any():
             speeds = self.pair_rel_speeds(block, live)
             reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
         chase &= reach <= d_stick
@@ -326,16 +332,18 @@ class _Driver:
     def component(self, dists: np.ndarray, threshold: float, seed: int) -> np.ndarray:
         """The ``(n,)`` mask of the cluster roots reachable from the watched
         pair ``seed`` through root-pair gaps ``dists`` <= threshold."""
-        close = dists <= threshold
+        close = (dists <= threshold).nonzero()[0]
         pi, pj = self.pi[close], self.pj[close]
         reach = np.zeros(self.n, dtype=bool)
-        reach[[self.pi[seed], self.pj[seed]]] = True
-        size = 0
-        while reach.sum() > size:
-            size = reach.sum()
+        reach[self.pi[seed]] = reach[self.pj[seed]] = True
+        size = 2
+        while True:
             link = reach[pi] | reach[pj]
             reach[pi[link]] = reach[pj[link]] = True
-        return reach
+            grown = np.count_nonzero(reach)
+            if grown == size:
+                return reach
+            size = grown
 
     def members(self, roots: np.ndarray) -> tuple[int, ...]:
         """The particles of the clusters whose roots the mask ``roots`` marks."""
@@ -406,12 +414,35 @@ class _Dense:
 
     def __call__(self, t):
         x = (t - self.t_old) / self.h
-        p = np.empty(self.q.shape[1:] + np.shape(x))
-        p[:] = x
-        np.cumprod(p, axis=0, out=p)
-        y = self.h * np.dot(self.q, p)
-        y += self.y_old[:, None] if y.ndim == 2 else self.y_old
+        if isinstance(x, np.ndarray) and x.ndim:
+            p = np.empty((self.q.shape[1], x.size))
+            p[:] = x
+            np.cumprod(p, axis=0, out=p)
+            y = self.h * np.dot(self.q, p)
+            y += self.y_old[:, None]
+            return y
+        # one time: the powers x, x**2, x**3, x**4 by cumprod's multiplies
+        x2 = x * x
+        x3 = x2 * x
+        y = self.h * np.dot(self.q, np.array([x, x2, x3, x3 * x]))
+        y += self.y_old
         return y
+
+
+_SUB_K = np.arange(_NSUB + 1.0)
+_SUB_FRAC = _SUB_K / _NSUB
+
+
+def _subsample_times(t0: float, t1: float) -> np.ndarray:
+    """``np.linspace(t0, t1, _NSUB + 1)`` bit for bit, without its Python
+    layers: the same two branches (k * step, or (k / _NSUB) * span where the
+    step underflows to zero), the same shift by ``t0`` and the same last
+    entry ``t1``."""
+    step = (t1 - t0) / _NSUB
+    ts = _SUB_K * step if step != 0 else _SUB_FRAC * (t1 - t0)
+    ts += t0
+    ts[-1] = t1
+    return ts
 
 
 def _constant(y: np.ndarray):
@@ -420,8 +451,11 @@ def _constant(y: np.ndarray):
 
 
 def _rms(x: np.ndarray):
-    """The stepper's error norm: the root mean square of the entries."""
-    return np.linalg.norm(x) / x.size**0.5
+    """The stepper's error norm: the root mean square of the entries, with
+    the root of the sum of squares computed as ``np.linalg.norm`` does for a
+    float vector.  The result is a numpy scalar, so a zero norm as a divisor
+    gives inf rather than an exception."""
+    return np.sqrt(x.dot(x)) / x.size**0.5
 
 
 class RK45:
@@ -437,6 +471,12 @@ class RK45:
     rounding depends.  ``step()`` advances one accepted step and returns
     None, or sets ``status`` to ``"failed"`` and returns the reason when
     the step would fall below ten spacings of the floats at ``t``.
+
+    The stages live in one ``(7, n)`` array ``K``.  The transposed views
+    that the ``np.dot`` calls read (``K[:s].T`` for stages 1 to 5,
+    ``K[:-1].T`` for the new state, ``K.T`` for the error and the dense
+    output) are built once, with ``K``, by :meth:`_use_stages`; a copy that
+    takes fresh stages (``_ResumePoint.stepper``) rebuilds them there.
     """
 
     C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
@@ -489,7 +529,14 @@ class RK45:
         self.status = "running"
         self.f = fun(t0, self.y)
         self.h_abs = self._initial_step()
-        self.K = np.empty((7, self.y.size))
+        self._use_stages(np.empty((7, self.y.size)))
+
+    def _use_stages(self, K: np.ndarray) -> None:
+        """Step with the stage array ``K`` and its transposed views."""
+        self.K = K
+        self.KT = K.T
+        self.KT_new = K[:-1].T
+        self.stages = [(s, c, a, K[:s].T) for s, (c, a) in enumerate(self.STAGES, 1)]
 
     def _initial_step(self) -> float:
         """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4),
@@ -525,6 +572,7 @@ class RK45:
         else:
             h_abs = self.h_abs
         rejected = False
+        abs_y = np.abs(y)
         while True:
             if h_abs < min_step:
                 self.status = "failed"
@@ -532,8 +580,8 @@ class RK45:
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             y_new, f_new = self._attempt(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(np.dot(self.K.T, self.E) * h / scale)
+            scale = self.atol + np.maximum(abs_y, np.abs(y_new)) * self.rtol
+            error_norm = _rms(np.dot(self.KT, self.E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -558,10 +606,10 @@ class RK45:
         dense output."""
         K = self.K
         K[0] = self.f
-        for s, (c, a) in enumerate(self.STAGES, 1):
-            dy = np.dot(K[:s].T, a) * h
+        for s, c, a, KT in self.stages:
+            dy = np.dot(KT, a) * h
             K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
+        y_new = y + h * np.dot(self.KT_new, self.B)
         f_new = self.fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
@@ -570,7 +618,7 @@ class RK45:
         """The interpolant over the last accepted step."""
         if self.t == self.t_old:
             return _constant(self.y)
-        return _Dense(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
+        return _Dense(self.t_old, self.t, self.y_old, self.KT.dot(self.P))
 
 
 def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config: SolverConfig):
@@ -605,7 +653,7 @@ class _ResumePoint:
         """The stepper at the boundary, stepping ``driver``'s RHS."""
         solver = copy.copy(self.solver)
         solver.fun = driver.rhs
-        solver.K = np.empty_like(solver.K)
+        solver._use_stages(np.empty_like(solver.K))
         return solver
 
 
@@ -636,10 +684,10 @@ def _steps(solver, where: str):
         if solver.status == "failed":
             # a non-finite derivative makes every error norm NaN, so the
             # step shrinks to underflow; name the cause, not the symptom
-            if not np.all(np.isfinite(solver.f)):
+            if not np.isfinite(solver.f).all():
                 raise DivergenceError(f"non-finite derivative at t={solver.t}")
-            raise LocalizationError(f"step size underflow {where}: {msg}")
-        if not np.all(np.isfinite(solver.y)):
+            raise LocalizationError(f"step size underflow {where}: {msg} (t={solver.t})")
+        if not np.isfinite(solver.y).all():
             raise DivergenceError(f"non-finite state at t={solver.t}")
         yield solver.t_old, solver.t, solver.y, solver.dense_output()
 
@@ -697,11 +745,11 @@ def _probe(
 
     watch = np.zeros(len(driver.pi), dtype=bool)
     watch[seed] = True
+    watched = watch.nonzero()[0]  # the indices of the watched pairs, kept with the mask
 
     def group(dists: np.ndarray, threshold: float = d_stick) -> np.ndarray:
         # from the closest watched pair, which need not be the crossing pair
-        closest = np.flatnonzero(watch)[np.argmin(dists[watch])]
-        return driver.component(dists, threshold, closest)
+        return driver.component(dists, threshold, watched[dists[watched].argmin()])
 
     dists = driver.pair_dists(y_cross)
     roots = group(dists, d_stick * (1.0 + 1e-9))
@@ -722,9 +770,9 @@ def _probe(
     for k, (t_prev, t_now, y_now, dense) in enumerate(steps, 1):
         # track the watched pairs' closest approach at subsample resolution:
         # the first column holding the smallest gap, if it beats the best so far
-        ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
-        col_min = driver.pair_dists(dense(ts_sub)[:, 1:], np.flatnonzero(watch)).min(axis=1)
-        c = int(np.argmin(col_min))
+        ts_sub = _subsample_times(t_prev, t_now)
+        col_min = driver.pair_dists(dense(ts_sub)[:, 1:], watched).min(axis=1)
+        c = int(col_min.argmin())
         if k == 1:
             # until a column beats the crossing distance, the closest
             # approach lies between the crossing and the first column
@@ -744,7 +792,8 @@ def _probe(
         near = dists <= d_stick
         # extend the watch to encounter-adjacent pairs
         watch |= near & (roots[driver.pi] | roots[driver.pj])
-        if not near[watch].any():
+        watched = watch.nonzero()[0]
+        if not near[watched].any():
             disposition = "rebound"
             break
 
@@ -771,7 +820,6 @@ def _probe(
     # closest approach in its bracket, and a collapse's with a passing fit
     t_event = t_cur
     if disposition == "rebound":
-        watched = np.flatnonzero(watch)
         t_event = _golden_min(
             lambda s: driver.pair_dists(best_dense(s), watched).min(), best_lo, best_hi, tol
         )
@@ -782,7 +830,7 @@ def _probe(
     elif disposition == "stick":
         t_fit = _stick_time_fit(mon_t, mon_diam, driver, config)
         t_event = t_cur if t_fit is None else t_fit
-    min_dist = float(dists[watch].min())
+    min_dist = float(dists[watched].min())
 
     event = classify_event(disposition, float(t_event), driver.members(roots), spread, min_dist, config)
     return event, float(t_cur), np.array(y_cur, dtype=float)
@@ -823,9 +871,9 @@ def _run_segment(
     tol = max(_BISECT_TOL_FACTOR * (t1 - t0), 1e-15)
 
     t_end, y_end, event = t1, solver.y, None
-    steps = _steps(solver, f"below {tol:.3e} while advancing the segment")
+    steps = _steps(solver, "during main phase")
     for t_prev, t_now, y_now, dense in steps:
-        ts_sub = np.linspace(t_prev, t_now, _NSUB + 1)
+        ts_sub = _subsample_times(t_prev, t_now)
         ys_sub = dense(ts_sub)
         bound = driver.rel_speed_bound(ys_sub)
         # the step is watched on the pairs that can reach d_stick in it; the
@@ -836,14 +884,14 @@ def _run_segment(
         if live.size:
             dists = driver.pair_dists(ys_sub, live)
             chase, armed[live] = driver.crossing_candidates(
-                ys_sub, dists, np.diff(ts_sub), bound, armed, live, d_stick
+                ys_sub, dists, ts_sub[1:] - ts_sub[:-1], bound, armed, live, d_stick
             )
             # per column with candidates, each one's crossing is bracketed: a
             # hit's by the subinterval, a dip's up to its closest approach
             # found by golden section; the earliest crossing in the column wins
-            for c in np.flatnonzero(chase.any(axis=1)):
+            for c in chase.any(axis=1).nonzero()[0]:
                 t_lo, t_col = float(ts_sub[c]), float(ts_sub[c + 1])
-                for j in np.flatnonzero(chase[c]):
+                for j in chase[c].nonzero()[0]:
                     k = live[j]
 
                     def gap(s):

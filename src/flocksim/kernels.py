@@ -115,12 +115,12 @@ class RegularizedKernel:
 
     def weight(self, s: np.ndarray) -> np.ndarray:
         a = self.alpha
-        lo = self.cap_end
         hi = self.bridge_end
         if s.size and s.min() >= hi:
             # every separation is on the power branch (NaN fails the test):
             # the same power on the same values as below
             return np.asarray(s ** (-a), dtype=float)
+        lo = self.cap_end
         out = np.empty_like(s, dtype=float)
 
         cap = s <= lo

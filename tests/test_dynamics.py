@@ -22,7 +22,7 @@ from flocksim import (
     make_system,
     merge_clusters,
 )
-from flocksim.dynamics import _pair_weights, acceleration_arrays, pair_norms, pair_slots
+from flocksim.dynamics import acceleration_arrays, pair_norms, pair_slots
 from flocksim.integrator import _Driver
 
 
@@ -34,7 +34,11 @@ def _random_system(seed, n, d, kernel=None):
 
 
 def _weights(x, pairs, kernel):
-    return _pair_weights(x, pairs, kernel, pair_slots(pairs, len(x)))
+    """The weight matrix that one force evaluation leaves in its slots."""
+    n = len(x)
+    slots = pair_slots(pairs, n)
+    acceleration_arrays(x, np.zeros_like(x), pairs, kernel, slots)
+    return slots[2].reshape(n, n)
 
 
 def _acceleration(s):
@@ -195,6 +199,7 @@ class TestPairWeights:
         np.testing.assert_array_equal(slots[0], pairs[0] * 7 + pairs[1])
         np.testing.assert_array_equal(slots[1], pairs[1] * 7 + pairs[0])
         assert slots[2].shape == (49,) and not slots[2].any()
+        assert slots[3].shape == (len(pairs[0]),)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -354,6 +359,107 @@ class TestAcceleration:
         a = _acceleration(s)
         vmax = np.linalg.norm(v, axis=1).max()
         assert np.linalg.norm(a, axis=1).max() <= 4.0 * n_cap * vmax
+
+
+def _reference_norms(z, pairs):
+    """The separations as the force computed them before its lean call
+    sequence, verbatim: every d through the even-then-odd reduction."""
+    from functools import reduce
+
+    pi, pj = pairs
+    sq = z.take(pj, axis=-2)
+    sq -= z.take(pi, axis=-2)
+    sq *= sq
+    d = z.shape[-1]
+    total = reduce(np.add, (sq[..., k] for k in range(0, d, 2)))
+    if d > 1:
+        total = total + reduce(np.add, (sq[..., k] for k in range(1, d, 2)))
+    return np.sqrt(total)
+
+
+def _reference_force(x, v, pairs, kernel):
+    """The force before its lean call sequence, verbatim: the weight matrix
+    on the pairs, then ``W @ v - W.sum(1)[:, None] * v`` scaled by 2/N."""
+    n = x.shape[0]
+    ij, ji = pairs[0] * n + pairs[1], pairs[1] * n + pairs[0]
+    w = np.zeros(n * n)
+    w[ij] = w[ji] = kernel.weight(_reference_norms(x, pairs))
+    w = w.reshape(n, n)
+    a = np.matmul(w, v)
+    a -= w.sum(axis=1)[:, None] * v
+    a *= 2.0 / x.shape[0]
+    return a, w
+
+
+_ORACLE_KERNEL = RegularizedKernel(alpha=0.5, n=50)  # cap to 4.0e-4, bridge to 4.16e-4
+
+
+class TestForceOracle:
+    """Each force evaluation equals, byte for byte, the formulation it
+    replaced: on every kernel and every branch of the capped weight, in
+    d = 1 to 4, on singletons and on clustered partitions."""
+
+    @staticmethod
+    def _check(x, v, labels, kernel):
+        pairs = _partition(labels).inter_pairs()
+        n = x.shape[0]
+        ref, ref_w = _reference_force(x, v, pairs, kernel)
+        slots = pair_slots(pairs, n)
+        out = np.empty_like(v)
+        a = acceleration_arrays(x, v, pairs, kernel, slots, out=out)
+        assert a is out
+        assert a.tobytes() == ref.tobytes()
+        assert slots[2].tobytes() == ref_w.tobytes()
+        assert slots[3].tobytes() == _reference_norms(x, pairs).tobytes()
+        # a second call on the same slots, without out, gives the same bytes
+        again = acceleration_arrays(x, v, pairs, kernel, slots)
+        assert again.tobytes() == ref.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        d=st.integers(1, 4),
+        n_clusters=st.integers(1, 12),
+        scale=st.sampled_from([1e-5, 2e-4, 4.08e-4, 1e-3, 1.0, 1e3]),
+        kernel=st.sampled_from(
+            [
+                SingularKernel(alpha=0.5),
+                _ORACLE_KERNEL,
+                RegularizedKernel(alpha=0.25, n=10**6),
+                CuckerSmaleKernel(K=1.5, beta=0.7),
+            ]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bytes(self, seed, n, d, n_clusters, scale, kernel):
+        # coincident rows form the clusters; the scales put the gaps on the
+        # cap, the bridge and the power branch of the capped weights
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, min(n, n_clusters), n)
+        if n_clusters >= n:
+            labels = np.arange(n)
+        x = rng.normal(size=(n, d))[labels] * scale * 10.0 ** rng.uniform(-0.3, 0.3, (n, 1))[labels]
+        v = rng.normal(size=(n, d))[labels]
+        if len(set(labels.tolist())) > 1:
+            self._check(x, v, labels, kernel)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_capped_branches_in_one_call(self, d):
+        # gaps on the cap, on the bridge and on the power branch in one call,
+        # and a call with every gap on the power branch (the fast path)
+        k = _ORACLE_KERNEL
+        e = np.ones(d) / np.sqrt(d)
+        offsets = np.array([0.0, 0.5 * k.cap_end, 0.5 * (k.cap_end + k.bridge_end) + 0.5 * k.cap_end,
+                            1.0, 3.0])
+        x = offsets[:, None] * e
+        v = np.random.default_rng(d).normal(size=x.shape)
+        gaps = _reference_norms(x, _partition(np.arange(5)).inter_pairs())
+        assert (gaps <= k.cap_end).any() and (gaps >= k.bridge_end).any()
+        assert ((gaps > k.cap_end) & (gaps < k.bridge_end)).any()
+        self._check(x, v, np.arange(5), k)
+        self._check(x[3:], v[3:], np.arange(2), k)
+        self._check(np.concatenate([x, x[:2]]), np.concatenate([v, v[:2]]),
+                    np.array([0, 1, 2, 3, 4, 0, 1]), k)
 
 
 class TestMergeClusters:

@@ -626,6 +626,118 @@ class TestStepFailures:
                 list(integrator._steps(solver, "in the phase"))
 
 
+    def test_main_phase_underflow_names_the_phase(self, monkeypatch):
+        # a main-phase stepper on y' = y**2 blows up where v = 2 does, at
+        # t = 0.5; the positions stay apart, so no crossing intervenes
+        def blow_up(driver, t0, y0, t_bound, config):
+            return integrator.RK45(lambda t, y: y * y, t0, y0, t_bound,
+                                   max_step=config.sample_dt, rtol=config.rel_tol, atol=config.abs_tol)
+
+        monkeypatch.setattr(integrator, "_stepper", blow_up)
+        with pytest.raises(LocalizationError) as info:
+            solve_piecewise(_two_body(2.0), SolverConfig(t_end=1.0))
+        msg = str(info.value)
+        prefix = ("step size underflow during main phase: "
+                  "Required step size is less than spacing between numbers. (t=")
+        assert msg.startswith(prefix) and msg.endswith(")")
+        assert abs(float(msg[len(prefix):-1]) - 0.5) < 1e-6
+
+
+def _reference_dense(dense, t):
+    """The quartic interpolant as it was evaluated before its one-time
+    path, verbatim: the powers of x by cumprod, then one ``np.dot``."""
+    x = (t - dense.t_old) / dense.h
+    p = np.empty(dense.q.shape[1:] + np.shape(x))
+    p[:] = x
+    np.cumprod(p, axis=0, out=p)
+    y = dense.h * np.dot(dense.q, p)
+    y += dense.y_old[:, None] if y.ndim == 2 else dense.y_old
+    return y
+
+
+class TestLeanKernels:
+    """The stepping core's rewritten kernels against the formulations they
+    replaced, byte for byte."""
+
+    @pytest.mark.parametrize("rhs", [_storm_rhs, _head_on_rhs], ids=["storm", "head_on"])
+    def test_dense_matches_reference(self, rhs):
+        # at one time (float or numpy scalar) and at a block of times;
+        # OpenBLAS rounds a one-time product (gemv) and a block's (gemm)
+        # differently, so each is compared with its own former formulation
+        fun, y0 = rhs()
+        solver = integrator.RK45(fun, 0.0, y0, 0.2, **_TOL)
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            solver.step()
+            dense = solver.dense_output()
+            ts = np.concatenate([integrator._subsample_times(solver.t_old, solver.t),
+                                 rng.uniform(solver.t_old, solver.t, 7)])
+            assert dense(ts).tobytes() == _reference_dense(dense, ts).tobytes()
+            for t in ts:
+                ref = _reference_dense(dense, t).tobytes()
+                assert dense(t).tobytes() == ref
+                assert dense(float(t)).tobytes() == ref
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_dense_matches_reference_on_random_steps(self, seed, n, m):
+        # steps whose quartic columns range over twelve decades, so the last
+        # bits of every power of x reach the result
+        rng = np.random.default_rng(seed)
+        t_old = rng.uniform(0.0, 10.0)
+        q = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 4))
+        dense = integrator._Dense(t_old, t_old + 10.0 ** rng.uniform(-8.0, 0.0), rng.normal(size=n), q)
+        ts = rng.uniform(t_old, t_old + dense.h, m)
+        assert dense(ts).tobytes() == _reference_dense(dense, ts).tobytes()
+        for t in ts:
+            assert dense(float(t)).tobytes() == _reference_dense(dense, float(t)).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        scale=st.integers(-320, 300),
+        specials=st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rms_matches_norm(self, seed, size, scale, specials):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=size) * 10.0**scale
+        x[: len(specials)] = specials[:size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours = integrator._rms(x)
+            ref = np.linalg.norm(x) / math.sqrt(x.size)
+        assert type(ours) is type(ref) is np.float64
+        assert np.array(ours).tobytes() == np.array(ref).tobytes()
+
+    def test_rms_of_zeros_divides_to_inf(self):
+        # the starting-step heuristic divides by this norm: a numpy scalar
+        # gives inf there, where a Python float would raise
+        with np.errstate(divide="ignore"):
+            assert 0.01 / integrator._rms(np.zeros(4)) == np.inf
+
+    @given(
+        t0=st.floats(0.0, 1e3, allow_subnormal=True),
+        span=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0, allow_subnormal=True),
+            st.integers(1, 200).map(lambda k: k * 5e-324),
+            st.integers(1, 200),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_subsample_times_match_linspace(self, t0, span):
+        # an integer span counts float spacings at t0
+        t1 = t0 + span if isinstance(span, float) else t0 + span * (math.nextafter(t0, math.inf) - t0)
+        ours = integrator._subsample_times(t0, t1)
+        assert ours.tobytes() == np.linspace(t0, t1, _NSUB + 1).tobytes()
+
+    def test_subsample_times_keep_linspace_subnormal_branch(self):
+        # spans whose eighth underflows to zero, or rounds, in the subnormals
+        for k in range(0, 64):
+            t1 = k * 5e-324
+            assert integrator._subsample_times(0.0, t1).tobytes() == np.linspace(0.0, t1, _NSUB + 1).tobytes()
+
+
 class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_rows_equal_single_columns(self, d):
