@@ -62,13 +62,7 @@ import numpy as np
 from .convergence import _check_n_list, cauchy_table, run_family
 from .diagnostics import run_diagnostics
 from .dynamics import ParticleSystem, make_system
-from .errors import (
-    ConfigError,
-    DomainError,
-    FlockError,
-    InsufficientDataError,
-    ValidationError,
-)
+from .errors import ConfigError, DomainError, FlockError, ValidationError
 from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
 from .kernels import CuckerSmaleKernel, SingularKernel, _check_alpha, _check_int, _check_positive
 from .twobody import (
@@ -600,7 +594,7 @@ def run_command(config: RunConfig) -> int:
     except (ConfigError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FlockError, InsufficientDataError, OSError) as exc:
+    except (FlockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,30 +6,31 @@ per cluster partition, which only a sticking event changes.  A main phase
 advances the system with an adaptive embedded Runge-Kutta stepper (max
 step capped at the sample spacing) while watching the distances of the
 pairs of cluster roots (``ClusterPartition.root_pairs``: a cluster's rows
-coincide bitwise, so each pair of clusters has one gap, that of its roots)
-through a boolean mask of armed pairs (a pair inside ``d_stick`` at the
-phase start is disarmed until it climbs back out).  Each step's dense
-output is read once, as a block of subsample columns, and watched on the
-step's live pairs only: the disarmed ones, and those whose gap at the
-step's start is at most twice the sum of ``d_stick``, twice the largest
-particle displacement over the block, and the step's travel at the speed
-bound below.  Any other pair provably stays above ``d_stick`` at every
-column and in every reach, so it can be no candidate and cannot re-arm; an
+coincide bitwise, so each pair of clusters has one gap, that of its
+roots).  Each step's dense output is read once, as a block of subsample
+columns, and watched on the step's live pairs only: those whose gap at
+the step's start is at most twice the sum of ``d_stick``, twice the
+largest particle displacement over the block, and the step's travel at
+the speed bound below.  Any other pair provably stays above ``d_stick``
+at every column and in every reach, so it can be no candidate; an
 event-free swarm watches a fraction of a percent of its pairs.  Each
 pair's norms round the same whichever pairs are computed beside them, so
 the live pairs' watch finds what a watch over all pairs would, bit for
-bit.  The per-column armed masks and crossing candidates of the live pairs
-are found together, and only the columns with a candidate are visited, in
-order.  A candidate is an armed pair whose gap, less the travel it could
-manage in the subinterval, reaches the sticking distance ``d_stick``; the
-pair speeds that decide it are computed only when a per-column bound on
-all of them (the norm of the per-axis velocity ranges) lets some pair
-travel that far.  There is one crossing search, per candidate: a pair at
-or below ``d_stick`` at the column (a threshold hit) is bisected on its
-gap over the subinterval, and any other is first searched for its closest
-approach by golden section, which brackets the crossing of one that dips
-below and climbs back out between columns.  The earliest crossing in the
-column wins, and its pair and the search tolerance pass to a probe phase.
+bit.  The watch carries nothing from step to step: the crossing
+candidates of the live pairs are found per column of the step's block,
+and only the columns with a candidate are visited, in order.  A
+candidate is a pair above ``d_stick`` at a column whose gap, less the
+travel it could manage in the subinterval, reaches ``d_stick`` (so a
+pair that starts a phase inside ``d_stick`` triggers nothing until it
+climbs back out); the pair speeds that decide it are computed only when
+a per-column bound on all of them (the norm of the per-axis velocity
+ranges) lets some pair travel that far.  There is one crossing search,
+per candidate: a pair at or below ``d_stick`` at the column (a threshold
+hit) is bisected on its gap over the subinterval, and any other is first
+searched for its closest approach by golden section, which brackets the
+crossing of one that dips below and climbs back out between columns.
+The earliest crossing in the column wins, and its pair and the search
+tolerance pass to a probe phase.
 
 The probe steps through the encounter with the main phase's settings,
 watching that pair and each pair inside ``d_stick`` that touches the
@@ -68,8 +69,8 @@ identical configurations reproduce trajectories bitwise.
 
 A cap family (:func:`flocksim.convergence.run_family`) solves through
 the same loop.  Its runs' first main phases resume at and record a
-:class:`_ResumePoint`: the stepper's state, the armed mask and the sample
-count at a step boundary, taken while every RHS call has seen each
+:class:`_ResumePoint`: the stepper's state and the sample count at a
+step boundary, taken while every RHS call has seen each
 inter-cluster separation on the power branch of the working kernel, where
 a larger cap's weight is the same (:class:`_Chain`).  A plain solve
 neither resumes nor records.
@@ -265,21 +266,20 @@ class _Driver:
         span = v.max(axis=0) - v.min(axis=0)
         return np.sqrt(np.einsum("d...,d...->...", span, span)) * (1.0 + 1e-9)
 
-    def live_pairs(self, block: np.ndarray, h: float, speed: float, armed: np.ndarray,
-                   d_stick: float) -> np.ndarray:
+    def live_pairs(self, block: np.ndarray, h: float, speed: float, d_stick: float) -> np.ndarray:
         """Indices, in order, of the watched pairs that can matter in a main
         phase step of length ``h`` with the subsample block ``block``
         (``(2*n*d, C)``, column 0 the step's start state) and the largest
-        :meth:`rel_speed_bound` ``speed`` over its columns: every pair
-        disarmed in ``armed``, and every pair whose gap g at column 0 is at
-        most ``2*(d_stick + 2*D + h*speed + pad)``.  D is the largest
-        displacement of any particle from column 0 over the columns, and
-        pad is ``_CULL_PAD`` times the largest coordinate magnitude.
+        :meth:`rel_speed_bound` ``speed`` over its columns: every pair whose
+        gap g at column 0 is at most ``2*(d_stick + 2*D + h*speed + pad)``.
+        D is the largest displacement of any particle from column 0 over the
+        columns, and pad is ``_CULL_PAD`` times the largest coordinate
+        magnitude.  That bound is at least 2*d_stick, so every pair at or
+        below d_stick at column 0 is among them.
 
-        Every other pair is armed, and in :meth:`crossing_candidates` each
-        of its column gaps and reaches exceeds d_stick, so it is never a
-        candidate and its armed bit stays set.  Proof, first in exact
-        arithmetic on the block's values: by the triangle inequality a
+        Every other pair is never a candidate: in :meth:`crossing_candidates`
+        each of its column gaps and reaches exceeds d_stick.  Proof, first in
+        exact arithmetic on the block's values: by the triangle inequality a
         column gap is at least g - 2D; a reach is the smaller gap of a
         subinterval less at most its length (at most h) times the larger
         pair speed at its ends, and every pair speed is at most its
@@ -299,26 +299,24 @@ class _Driver:
         travel = math.sqrt(np.einsum("idc,idc->ic", moved, moved).max())
         pad = _CULL_PAD * float(np.abs(x).max())
         live = pair_norms(x[:, :, 0], self.watch) <= 2.0 * (d_stick + 2.0 * travel + h * speed + pad)
-        live |= ~armed
         return live.nonzero()[0]
 
     def crossing_candidates(self, block: np.ndarray, dists: np.ndarray, dt_sub: np.ndarray,
-                            bound: np.ndarray, armed: np.ndarray, live: np.ndarray, d_stick: float):
+                            bound: np.ndarray, live: np.ndarray, d_stick: float) -> np.ndarray:
         """The watch over one step's subsample block ``block`` (``(2*n*d, C)``,
         subintervals ``dt_sub``, per-column :meth:`rel_speed_bound` ``bound``)
         for the watched pairs ``live``, with column gaps ``dists``
-        (``(C, L)``) and armed bits ``armed[live]`` before the step: their
-        candidate mask ``(C - 1, L)``, whose row c describes the subinterval
-        that ends at column c + 1, and their armed bits after the step.
+        (``(C, L)``): their candidate mask ``(C - 1, L)``, whose row c
+        describes the subinterval that ends at column c + 1.
 
-        A candidate is an armed pair above d_stick at column c whose
-        endpoint gap minus the travel it could manage in the subinterval
-        reaches d_stick: one at or below it at column c + 1 (a threshold
-        hit), or a fast pair that can dip below and climb back out."""
-        above = dists > d_stick
-        armed = armed[live] | np.logical_or.accumulate(above[1:], axis=0)
+        A candidate is a pair above d_stick at column c whose endpoint gap
+        minus the travel it could manage in the subinterval reaches
+        d_stick: one at or below it at column c + 1 (a threshold hit), or a
+        fast pair that can dip below and climb back out.  A pair that stays
+        at or below d_stick is none, so a phase that starts with a pair in
+        contact does not retrigger on it until it climbs back out."""
         reach = np.minimum(dists[:-1], dists[1:])
-        chase = armed & above[:-1]
+        chase = dists[:-1] > d_stick
         # the pair speeds are needed only if the per-column speed bound,
         # whose travel rounds to at least every pair's, lets a pair get
         # there; if not, the bare gaps of the chase pairs exceed d_stick too
@@ -326,8 +324,7 @@ class _Driver:
         if (lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick).any():
             speeds = self.pair_rel_speeds(block, live)
             reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
-        chase &= reach <= d_stick
-        return chase, armed[-1]
+        return chase & (reach <= d_stick)
 
     def component(self, dists: np.ndarray, threshold: float, seed: int) -> np.ndarray:
         """The ``(n,)`` mask of the cluster roots reachable from the watched
@@ -634,18 +631,17 @@ def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config:
 
 
 class _ResumePoint:
-    """A main-phase step boundary: a copy of the stepper there, the watch's
-    armed mask, and the sample store with its length.  A step replaces the
-    stepper's ``t``, ``y``, ``f``, ``h_abs`` and ``status`` and writes only
-    into its stages ``K``, and stored rows are never written again, so a
-    run that resumes here needs fresh stages only and shares the store's
-    first ``rows`` rows."""
+    """A main-phase step boundary: a copy of the stepper there, and the
+    sample store with its length.  A step replaces the stepper's ``t``,
+    ``y``, ``f``, ``h_abs`` and ``status`` and writes only into its stages
+    ``K``, and stored rows are never written again, so a run that resumes
+    here needs fresh stages only and shares the store's first ``rows``
+    rows.  The watch carries nothing across a step boundary."""
 
-    __slots__ = ("solver", "armed", "store", "rows")
+    __slots__ = ("solver", "store", "rows")
 
-    def __init__(self, solver: RK45, armed: np.ndarray, store: _SampleStore):
+    def __init__(self, solver: RK45, store: _SampleStore):
         self.solver = copy.copy(solver)
-        self.armed = armed.copy()
         self.store = store
         self.rows = len(store.ts)
 
@@ -806,9 +802,8 @@ def _probe(
             stalled = False
             if len(mon_t) > _STALL_LOOKBACK:
                 dt_lb = mon_t[-1] - mon_t[-1 - _STALL_LOOKBACK]
-                if dt_lb > 0.0:
-                    rate = abs(mon_diam[-1] - mon_diam[-1 - _STALL_LOOKBACK]) / dt_lb
-                    stalled = rate < v_stick / _STALL_RATE_FACTOR
+                rate = abs(mon_diam[-1] - mon_diam[-1 - _STALL_LOOKBACK]) / dt_lb
+                stalled = rate < v_stick / _STALL_RATE_FACTOR
             if diam < d_stick / _PHI_DEEP_FACTOR or stalled:
                 disposition = "stick"
                 break
@@ -858,16 +853,12 @@ def _run_segment(
     if point is None:
         store.emit(t0, y0)
         solver = _stepper(driver, t0, y0, t1, config)
-        # pairs already inside d_stick at the phase start stay disarmed until
-        # they climb back out, so a fresh phase does not instantly retrigger
-        armed = driver.pair_dists(y0) > d_stick
     else:
         store.ts = point.store.ts[: point.rows]
         store.ys = point.store.ys[: point.rows]
         solver = point.stepper(driver)
-        armed = point.armed.copy()
     if driver.power_floor is not None:
-        chain.point = _ResumePoint(solver, armed, store)
+        chain.point = _ResumePoint(solver, store)
     tol = max(_BISECT_TOL_FACTOR * (t1 - t0), 1e-15)
 
     t_end, y_end, event = t1, solver.y, None
@@ -877,14 +868,14 @@ def _run_segment(
         ys_sub = dense(ts_sub)
         bound = driver.rel_speed_bound(ys_sub)
         # the step is watched on the pairs that can reach d_stick in it; the
-        # others can neither be candidates nor change their armed bits, so
-        # a step without such a pair only stores its samples
-        live = driver.live_pairs(ys_sub, t_now - t_prev, float(bound.max()), armed, d_stick)
+        # others cannot be candidates, so a step without such a pair only
+        # stores its samples
+        live = driver.live_pairs(ys_sub, t_now - t_prev, float(bound.max()), d_stick)
         crossing_t = crossing_k = None
         if live.size:
             dists = driver.pair_dists(ys_sub, live)
-            chase, armed[live] = driver.crossing_candidates(
-                ys_sub, dists, ts_sub[1:] - ts_sub[:-1], bound, armed, live, d_stick
+            chase = driver.crossing_candidates(
+                ys_sub, dists, ts_sub[1:] - ts_sub[:-1], bound, live, d_stick
             )
             # per column with candidates, each one's crossing is bracketed: a
             # hit's by the subinterval, a dip's up to its closest approach
@@ -918,7 +909,7 @@ def _run_segment(
         store.emit_grid_range(dense, t_prev, t_now)
         y_end = y_now
         if driver.power_floor is not None:
-            chain.point = _ResumePoint(solver, armed, store)
+            chain.point = _ResumePoint(solver, store)
     else:
         store.emit(t1, y_end)
 

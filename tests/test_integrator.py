@@ -249,9 +249,10 @@ class TestReboundAndStall:
         assert traj.events[0].t_event == pytest.approx(0.49960, abs=1e-5)
 
     def test_probe_resolves_the_watched_crossing(self):
-        # rows 0 and 1 start in contact, so their pair is disarmed and stays
-        # the closest; rows 2 and 3 cross head-on.  The probe resolves the
-        # pair whose crossing the watch found, not the closest one
+        # rows 0 and 1 start in contact, so their pair is no crossing
+        # candidate and stays the closest; rows 2 and 3 cross head-on.  The
+        # probe resolves the pair whose crossing the watch found, not the
+        # closest one
         x = np.array([[0.0], [0.0], [10.0], [10.002]])
         v = np.array([[-1e-3], [1e-3], [10.0], [-10.0]])
         system = make_system(x, v, SingularKernel(alpha=0.5))
@@ -262,9 +263,10 @@ class TestReboundAndStall:
 
     def test_group_leaves_a_crossing_pair_that_passed(self):
         # rows 1 and 2 start in contact, closing at the critical rate, so
-        # their pair is disarmed; row 0 crosses both head-on, its pair with
-        # row 1 hands the probe the encounter, and leaves.  The group then
-        # follows the closest watched pair, (1, 2), which stalls and sticks
+        # their pair is no crossing candidate; row 0 crosses both head-on,
+        # its pair with row 1 hands the probe the encounter, and leaves.  The
+        # group then follows the closest watched pair, (1, 2), which stalls
+        # and sticks
         phi0 = 5e-7
         half = 2.0 * phi0**0.5
         x = np.array([[2e-3], [0.0], [-phi0]])
@@ -738,6 +740,23 @@ class TestLeanKernels:
             assert integrator._subsample_times(0.0, t1).tobytes() == np.linspace(0.0, t1, _NSUB + 1).tobytes()
 
 
+def _armed_candidates(driver, block, dists, dt_sub, bound, d_stick):
+    """The candidate rule of the former armed mask, over all watched pairs:
+    a pair is armed from column 0 if its gap there is above d_stick, and
+    from each later column at which it is above; row c's candidates are the
+    pairs armed through column c + 1 and above d_stick at column c whose
+    reach gets to d_stick."""
+    above = dists > d_stick
+    armed = above[0] | np.logical_or.accumulate(above[1:], axis=0)
+    reach = np.minimum(dists[:-1], dists[1:])
+    chase = armed & above[:-1]
+    lead = np.where(chase, reach, math.inf).min(axis=1, initial=math.inf)
+    if (lead - dt_sub * np.maximum(bound[:-1], bound[1:]) <= d_stick).any():
+        speeds = driver.pair_rel_speeds(block)
+        reach -= dt_sub[:, None] * np.maximum(speeds[:-1], speeds[1:])
+    return chase & (reach <= d_stick)
+
+
 class TestDriverBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_rows_equal_single_columns(self, d):
@@ -779,19 +798,17 @@ class TestDriverBlocks:
         move=st.integers(-4, 1),
         travel=st.integers(-4, 2),
         h=st.integers(-9, -2),
-        disarmed=st.floats(0.0, 0.5),
     )
     @settings(max_examples=500, deadline=None)
-    def test_cull_keeps_every_pair_that_can_matter(
-        self, seed, n, d, offset, scale, move, travel, h, disarmed
-    ):
+    def test_cull_keeps_every_pair_that_can_matter(self, seed, n, d, offset, scale, move, travel, h):
         # random step blocks, with positions offset up to 1e6 at gap scales
         # from 1e-7 to 10, particle moves and speed-bound travel within a
         # few decades of the gaps, and rows 0 and 1 closing by their moves
-        # alone to a gap near d_stick: each pair the step's watch over all
-        # watched pairs (the full block) makes a candidate or re-arms is
-        # among the live pairs, on which the watch gives the same candidates
-        # and armed bits
+        # alone to a gap near d_stick: the step's watch over all watched
+        # pairs (the full block) finds the candidates of the armed-mask rule
+        # it replaced, each of them and each pair inside d_stick at column 0
+        # is among the live pairs, and the watch over the live pairs gives
+        # the same candidates
         rng = np.random.default_rng(seed)
         d_stick = SolverConfig().d_stick
         x0 = offset * rng.uniform(-1.0, 1.0, d) + 10.0**scale * rng.normal(size=(n, d))
@@ -809,22 +826,20 @@ class TestDriverBlocks:
         singletons = np.arange(n * d, dtype=float).reshape(n, d)
         system = make_system(singletons, np.zeros_like(singletons), SingularKernel(alpha=0.5))
         driver = _Driver(system, SolverConfig())
-        armed = rng.uniform(size=len(driver.pi)) >= disarmed
         bound = driver.rel_speed_bound(block)
         dt_sub = np.diff(ts)
 
         every = np.arange(len(driver.pi))
-        chase, after = driver.crossing_candidates(
-            block, driver.pair_dists(block), dt_sub, bound, armed, every, d_stick
-        )
-        live = driver.live_pairs(block, ts[-1] - ts[0], float(bound.max()), armed, d_stick)
-        matter = np.flatnonzero(chase.any(axis=0) | (after != armed))
-        assert np.isin(matter, live).all()
-        live_chase, live_after = driver.crossing_candidates(
-            block, driver.pair_dists(block, live), dt_sub, bound, armed, live, d_stick
+        dists = driver.pair_dists(block)
+        chase = driver.crossing_candidates(block, dists, dt_sub, bound, every, d_stick)
+        reference = _armed_candidates(driver, block, dists, dt_sub, bound, d_stick)
+        assert chase.tobytes() == reference.tobytes()
+        live = driver.live_pairs(block, ts[-1] - ts[0], float(bound.max()), d_stick)
+        assert np.isin(np.flatnonzero(chase.any(axis=0) | (dists[0] <= d_stick)), live).all()
+        live_chase = driver.crossing_candidates(
+            block, driver.pair_dists(block, live), dt_sub, bound, live, d_stick
         )
         assert live_chase.tobytes() == chase[:, live].tobytes()
-        assert live_after.tobytes() == after[live].tobytes()
 
     @given(
         n=st.integers(2, 6),

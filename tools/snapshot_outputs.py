@@ -10,23 +10,33 @@ writes each config's files to ``OUT_DIR/<name>/``, then parses a fixed
 list of invalid configs and writes one line per config to
 ``OUT_DIR/errors.txt``: the exception type, its ``.key`` and its message
 (or ``accepted``), so that a changed validation message shows up in the
-diff too.  ``flocksim`` is
-imported from ``PYTHONPATH``, so another checkout (a clone of an older
-commit, say) can be snapshotted with this same script and the two
-snapshots compared with ``diff -r``.  The whole set runs in well under
-30 seconds.
+diff too.  Last it solves a fixed set of seeded random scenarios (storms,
+pairs that start inside ``d_stick``, coincident clusters and cap
+families) and writes one line per scenario to ``OUT_DIR/hashes.txt``: a
+SHA-256 over each run's ``t``, ``x``, ``v`` and ``grid_mask``, its
+events with their floats in hex, and its final state (or the error the
+solve raised), so that a change in the last bit of any of them shows up
+in the diff.  ``flocksim`` is imported from ``PYTHONPATH``, so another
+checkout (a clone of an older commit, say) can be snapshotted with this
+same script and the two snapshots compared with ``diff -r``.  The whole
+set runs in well under 30 seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
+import random
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from flocksim import SingularKernel, SolverConfig, make_system, run_family, solve_piecewise
 from flocksim.cli import generate_scenario, parse_config, run_command
-from flocksim.errors import ConfigError, ValidationError
+from flocksim.errors import ConfigError, FlockError, ValidationError
 
 README_PAIR = """\
 [scenario]
@@ -145,8 +155,9 @@ CASES = [
     # a crossing); the merged cluster takes B's root 0 in place of A's root
     # 1 and keeps pulling on C to the end
     ("diagnose_3c", "diagnose", _three_cluster(2.9345703125)),
-    # rows 0 and 1 start in contact (their pair is disarmed and stays the
-    # closest) while rows 2 and 3 cross head-on: the event is (2, 3)'s
+    # rows 0 and 1 start in contact (their pair is no crossing candidate
+    # and stays the closest) while rows 2 and 3 cross head-on: the event is
+    # (2, 3)'s
     (
         "contact_and_crossing",
         "simulate",
@@ -165,6 +176,19 @@ CASES = [
     # (1 - alpha) / (2 alpha): the power-law fit sets the event time
     ("stick_alpha_07", "simulate", _two_cluster(2, 1, 1, 0.7, 1.2 * 0.3 / 1.4)),
     ("swarm_dip", "simulate", _swarm_dip()),
+    # a pair that starts inside d_stick and collapses at the critical rate
+    (
+        "contact_collapse",
+        "simulate",
+        _inline([[0.0], [-5e-7]], [[-1.414e-3], [1.414e-3]], 0.5, 3e-3) + "sample_dt = 1e-05\n",
+    ),
+    # rows 0 and 1 start in contact and separate slowly while row 2
+    # crosses them head-on
+    (
+        "crossing_through_contact",
+        "simulate",
+        _inline([[0.0], [0.0], [0.002]], [[-1e-3], [1e-3], [-20.0]], 0.5, 2e-4) + "sample_dt = 1e-05\n",
+    ),
     # cap families whose runs share a prefix: a storm whose first crossing
     # comes before any member leaves the power branch, a pair that starts
     # inside the smallest cap's bridge, and a pair that never comes close
@@ -233,6 +257,78 @@ INVALID = [
 ]
 
 
+def _hash_cases():
+    """(name, solve) of the seeded random scenarios in ``hashes.txt``; each
+    solve returns a list of trajectories."""
+    d_stick = SolverConfig().d_stick
+    cases = []
+
+    def unit(rng, d):
+        e = np.array([rng.gauss(0.0, 1.0) for _ in range(d)])
+        return e / np.linalg.norm(e)
+
+    def storm(seed):
+        # off the line, random rows never pass within d_stick: there, row 1
+        # starts 1e-3 from row 0 and closes on it head-on
+        rng = random.Random(seed)
+        n, d = rng.randint(3, 12), rng.choice((1, 1, 2, 3))
+        x, v = generate_scenario(n, d, seed, box=1.0, speed=rng.uniform(3.0, 8.0))
+        if d > 1:
+            e = unit(rng, d)
+            x[1] = x[0] + 1e-3 * e
+            v[1] = v[0] - rng.uniform(3.0, 8.0) * e
+        return rng, x, v
+
+    def solve(x, v, alpha, t_end, sample_dt=1e-2):
+        config = SolverConfig(t_end=t_end, sample_dt=sample_dt)
+        return lambda: [solve_piecewise(make_system(x, v, SingularKernel(alpha=alpha)), config)]
+
+    def family(x, v, t_end):
+        config = SolverConfig(t_end=t_end)
+        return lambda: run_family(x, v, 0.5, (100, 1000, 10000), config)
+
+    for seed in range(20):
+        rng, x, v = storm(seed)
+        cases.append((f"storm_{seed}", solve(x, v, rng.choice((0.3, 0.5, 0.7)), 0.3)))
+    # row 1 starts inside d_stick of row 0, closing or opening at up to
+    # about the critical rate of such a gap
+    for seed in range(20, 30):
+        rng, x, v = storm(seed)
+        e = unit(rng, x.shape[1])
+        x[1] = x[0] + rng.uniform(0.0, 1.0) * d_stick * e
+        v[1] = v[0] + rng.uniform(-3e-3, 3e-3) * e
+        cases.append((f"contact_{seed}", solve(x, v, 0.5, 0.05, 1e-3)))
+    # some rows copy another's position and velocity: clusters from the start
+    for seed in range(30, 36):
+        rng, x, v = storm(seed)
+        for _ in range(rng.randint(1, len(x) // 2)):
+            i, j = rng.sample(range(len(x)), 2)
+            x[j], v[j] = x[i], v[i]
+        cases.append((f"clusters_{seed}", solve(x, v, 0.5, 0.3)))
+    # cap families on storms, and on pairs closing from unit separation
+    # below, at and above the critical speed 4, whose stick time is 0.5
+    for seed in range(36, 42):
+        rng, x, v = storm(seed)
+        if seed % 2:
+            u = (3.0, 4.0, 4.5)[seed % 3]
+            x, v = np.array([[-0.5], [0.5]]), np.array([[0.5 * u], [-0.5 * u]])
+        cases.append((f"family_{seed}", family(x, v, 0.6 if seed % 2 else 0.2)))
+    return cases
+
+
+def _digest(runs) -> str:
+    h = hashlib.sha256()
+    for traj in runs:
+        final = traj.final_state
+        for a in (traj.t, traj.x, traj.v, traj.grid_mask, final.x, final.v, final.partition.labels()):
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        for e in traj.events:
+            floats = " ".join(float(f).hex() for f in (e.t_event, e.rel_speed, e.min_dist))
+            h.update(f"{e.kind} {e.group} {floats}\n".encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory that receives one folder per config")
@@ -252,6 +348,16 @@ def main(argv=None) -> int:
         except (ConfigError, ValidationError) as exc:
             lines.append(f"{name}: {type(exc).__name__} key={getattr(exc, 'key', None)!r} {exc}")
     (root / "errors.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lines = []
+    t0 = time.perf_counter()
+    for name, solve in _hash_cases():
+        try:
+            digest = _digest(solve())
+        except FlockError as exc:
+            digest = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{name} {digest}")
+    (root / "hashes.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"{len(lines)} hashed scenarios  {time.perf_counter() - t0:6.2f} s")
     return 1 if failed else 0
 
 
