@@ -630,7 +630,7 @@ class TestTwoBodyCommand:
         )
         assert report["outcome"] == "Collide"
         assert float(report["impact_speed"]) == 1.0
-        assert float(report["t_hit"]) == pytest.approx(0.5 - np.log(5.0) / 8.0, abs=1e-8)
+        assert float(report["t_hit"]) == pytest.approx(0.5 - np.log(5.0) / 8.0, rel=1e-13)
 
     def test_no_collision_report(self, tmp_path):
         report = self._run(

@@ -789,6 +789,24 @@ class TestDriverBlocks:
                 for c in (0, _NSUB):
                     assert method(block[:, c], sel).tobytes() == rows[c, sel].tobytes()
 
+    def test_gap_exactly_at_d_stick_is_no_candidate(self):
+        # a 1D pair at 0 and 1e-6: its column gap equals d_stick bit for bit,
+        # so the pair is at contact there, and a subinterval from that column
+        # to one below d_stick is no candidate; from one spacing of the
+        # floats above d_stick, the same subinterval is one
+        d_stick = SolverConfig().d_stick
+        x = np.array([[0.0], [1e-6]])
+        driver = _Driver(make_system(x, np.zeros_like(x), SingularKernel(alpha=0.5)), SolverConfig())
+        for start, hit in ((d_stick, False), (np.nextafter(d_stick, math.inf), True)):
+            block = np.array([[0.0, 0.0], [start, 0.5 * d_stick], [0.0, 0.0], [-0.5, -0.5]])
+            dists = driver.pair_dists(block)
+            assert dists[0].tolist() == [start]
+            bound = driver.rel_speed_bound(block)
+            chase = driver.crossing_candidates(
+                block, dists, np.array([1e-6]), bound, np.arange(1), d_stick
+            )
+            assert chase.tolist() == [[hit]]
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 8),

@@ -38,20 +38,20 @@ def test_readme_python_example(capsys):
 _IMPORT_GUARD = """
 import sys
 import flocksim.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 from flocksim.twobody import TwoBodyProblem, bounded_weight_floor_check, classify
 print(type(classify(TwoBodyProblem(phi0=1.0, dphi0=-5.0, alpha=0.5))).__name__)
 print(bounded_weight_floor_check(1.0, -1.0, 1.0, 2.0, t_end=0.5).ok)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_import_loads_no_scipy():
-    # the solver is numpy-only; scipy loads when the two-body collide-time
-    # quadrature or the bounded-weight floor check first runs, and both
-    # still work then
+def test_package_never_loads_scipy():
+    # the package needs numpy only: after the CLI's import, a colliding
+    # pair's collide time and the bounded-weight floor check, no scipy
+    # module has been loaded
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout.split("\n")
-    assert out[:3] == ["[]", "CollideNonstick", "True"]
+    assert out[:3] == ["CollideNonstick", "True", "[]"]

@@ -34,7 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from flocksim import SingularKernel, SolverConfig, make_system, run_family, solve_piecewise
+from flocksim import (
+    SingularKernel,
+    SolverConfig,
+    critical_velocity,
+    make_system,
+    run_family,
+    solve_piecewise,
+)
 from flocksim.cli import generate_scenario, parse_config, run_command
 from flocksim.errors import ConfigError, FlockError, ValidationError
 
@@ -72,6 +79,11 @@ def _twobody(phi0: float, dphi0: float, weight: str = "alpha = 0.5") -> str:
         f"[scenario]\n{weight}\n\n[solver]\nt_end = 2.0\n\n"
         f"[twobody]\nphi0 = {phi0!r}\ndphi0 = {dphi0!r}\nn_levels = 12\n"
     )
+
+
+def _near_critical(phi0: float, alpha: float, excess: float) -> str:
+    """A pair closing at (1 + excess) times the critical rate."""
+    return _twobody(phi0, critical_velocity(phi0, alpha) * (1.0 + excess), f"alpha = {alpha!r}")
 
 
 def _two_cluster(
@@ -137,6 +149,11 @@ CASES = [
     ("twobody_collide", "twobody", _twobody(1.0, -5.0)),
     ("twobody_no_collision", "twobody", _twobody(1.0, -3.0)),
     ("twobody_cucker_smale", "twobody", _twobody(1.0, -1.0, "kernel = cucker_smale")),
+    # collide times just past the critical rate, where a plateau of height 1/s
+    # near contact carries most of the integral
+    ("twobody_near_critical_a05", "twobody", _near_critical(1.0, 0.05, 1e-8)),
+    ("twobody_near_critical_a25", "twobody", _near_critical(1.0, 0.25, 1e-6)),
+    ("twobody_near_critical_small", "twobody", _near_critical(1e-7, 0.9, 1e-3)),
     (
         "converge_2c",
         "converge",
