@@ -78,11 +78,10 @@ def run_family(
     Only the first main phase is shared, since it has no event and one
     partition, while the probe's fit floor depends on the cap."""
     ns = _check_n_list(n_list)
-    kernel = SingularKernel(alpha=alpha)
+    system = make_system(x, v, SingularKernel(alpha=alpha))  # _solve works on a copy
     runs = []
     chain = _Chain()
     for k, n in enumerate(ns):
-        system = make_system(x, v, kernel)
         cfg = replace(config, n_reg=n)
         chain.record = k + 1 < len(ns)
         try:

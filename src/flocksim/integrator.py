@@ -68,12 +68,11 @@ a regularized kernel is rejected.  All stepping is deterministic, so
 identical configurations reproduce trajectories bitwise.
 
 A cap family (:func:`flocksim.convergence.run_family`) solves through
-the same loop.  Its runs' first main phases resume at and record a
-:class:`_ResumePoint`: the stepper's state and the sample count at a
-step boundary, taken while every RHS call has seen each
+the same loop.  Its runs' first main phases resume at and record a step
+boundary (:class:`_Chain`), taken while every RHS call has seen each
 inter-cluster separation on the power branch of the working kernel, where
-a larger cap's weight is the same (:class:`_Chain`).  A plain solve
-neither resumes nor records.
+a larger cap's weight is the same.  A plain solve neither resumes nor
+records.
 
 The stepper is :class:`RK45`, the package's own Dormand-Prince 5(4)
 (DOPRI5) with FSAL stages and quartic dense output.  It matches scipy's
@@ -218,9 +217,9 @@ class _Driver:
         # second copy (2 MB of peak RSS over 120 runs of an N = 128 swarm)
         self.watch = self.pairs if part.n_clusters == self.n else part.root_pairs()
         self.pi, self.pj = self.watch
-        # set while a cap family's first main phase records its resume
-        # points (:class:`_Chain`), and cleared by the first RHS call that
-        # sees an inter-cluster separation below it
+        # set while a cap family's first main phase marks resume points in
+        # its :class:`_Chain`, and cleared by the first RHS call that sees an
+        # inter-cluster separation below it
         self.power_floor: Optional[float] = None
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -472,8 +471,7 @@ class RK45:
     The stages live in one ``(7, n)`` array ``K``.  The transposed views
     that the ``np.dot`` calls read (``K[:s].T`` for stages 1 to 5,
     ``K[:-1].T`` for the new state, ``K.T`` for the error and the dense
-    output) are built once, with ``K``, by :meth:`_use_stages`; a copy that
-    takes fresh stages (``_ResumePoint.stepper``) rebuilds them there.
+    output) are built once, with ``K``, in the constructor.
     """
 
     C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
@@ -526,11 +524,7 @@ class RK45:
         self.status = "running"
         self.f = fun(t0, self.y)
         self.h_abs = self._initial_step()
-        self._use_stages(np.empty((7, self.y.size)))
-
-    def _use_stages(self, K: np.ndarray) -> None:
-        """Step with the stage array ``K`` and its transposed views."""
-        self.K = K
+        self.K = K = np.empty((7, self.y.size))
         self.KT = K.T
         self.KT_new = K[:-1].T
         self.stages = [(s, c, a, K[:s].T) for s, (c, a) in enumerate(self.STAGES, 1)]
@@ -630,29 +624,6 @@ def _stepper(driver: _Driver, t0: float, y0: np.ndarray, t_bound: float, config:
     )
 
 
-class _ResumePoint:
-    """A main-phase step boundary: a copy of the stepper there, and the
-    sample store with its length.  A step replaces the stepper's ``t``,
-    ``y``, ``f``, ``h_abs`` and ``status`` and writes only into its stages
-    ``K``, and stored rows are never written again, so a run that resumes
-    here needs fresh stages only and shares the store's first ``rows``
-    rows.  The watch carries nothing across a step boundary."""
-
-    __slots__ = ("solver", "store", "rows")
-
-    def __init__(self, solver: RK45, store: _SampleStore):
-        self.solver = copy.copy(solver)
-        self.store = store
-        self.rows = len(store.ts)
-
-    def stepper(self, driver: _Driver) -> RK45:
-        """The stepper at the boundary, stepping ``driver``'s RHS."""
-        solver = copy.copy(self.solver)
-        solver.fun = driver.rhs
-        solver._use_stages(np.empty_like(solver.K))
-        return solver
-
-
 class _Chain:
     """The link between consecutive members of a cap family.
 
@@ -660,17 +631,38 @@ class _Chain:
     every separation is at least its ``bridge_end``, which falls as n
     grows, so two members step bit for bit alike until one of them
     evaluates its RHS below its own ``bridge_end``.  A member resumes its
-    first main phase at ``point`` (None: from its start), and when
-    ``record`` is set it leaves there the last step boundary of that phase
-    at which every RHS call so far (rejected attempts and the stepper's
-    two starting calls included) saw each inter-cluster separation at or
-    above its kernel's ``bridge_end``.  That phase has no event and one
-    partition; from the probe on, the fit floor depends on the cap too, so
-    no point lies there."""
+    first main phase at the chain's point (``solver`` None: from its
+    start), and when ``record`` is set it marks there the last step
+    boundary of that phase at which every RHS call so far (rejected
+    attempts and the stepper's two starting calls included) saw each
+    inter-cluster separation at or above its kernel's ``bridge_end``.
+    Only that phase is shared: it has no event and one partition, while
+    from the probe on the fit floor depends on the cap.  A step replaces
+    the stepper's ``t``, ``y``, ``f``, ``h_abs`` and ``status`` and writes
+    only its stages ``K``, which the copies share (:meth:`mark`); stored
+    rows are never written again, so a member shares the store's first
+    ``rows`` rows; and the watch carries nothing across a step boundary."""
 
     def __init__(self) -> None:
-        self.point: Optional[_ResumePoint] = None
+        self.solver: Optional[RK45] = None
+        self.store: Optional[_SampleStore] = None
+        self.rows = 0
         self.record = False
+
+    def mark(self, solver: RK45, store: _SampleStore) -> None:
+        """Make the step boundary at which ``solver`` stands the resume point.
+
+        The copy shares ``solver``'s stage array ``K``, and so does every
+        stepper resumed from it.  That is safe because ``_attempt`` writes
+        ``K[0] = self.f`` and then each later stage before any read of it;
+        the error norm and ``dense_output`` read only the stages of the
+        accepted attempt, and :class:`_Dense` keeps its own coefficient
+        array (``KT.dot(P)``); and the copies that share one ``K`` step one
+        after another: a member's first-phase stepper is finished before
+        the next member resumes, and a recorded copy never steps itself."""
+        self.solver = copy.copy(solver)
+        self.store = store
+        self.rows = len(store.ts)
 
 
 def _steps(solver, where: str):
@@ -845,20 +837,18 @@ def _run_segment(
     ``chain``, the phase is a cap family member's first: it resumes at the
     chain's point, if any, and records its own there if asked."""
     d_stick = config.d_stick
-    point = None
-    if chain is not None:
-        point = chain.point
-        if chain.record:
-            driver.power_floor = driver.kernel.bridge_end
-    if point is None:
+    if chain is not None and chain.record:
+        driver.power_floor = driver.kernel.bridge_end
+    if chain is None or chain.solver is None:
         store.emit(t0, y0)
         solver = _stepper(driver, t0, y0, t1, config)
     else:
-        store.ts = point.store.ts[: point.rows]
-        store.ys = point.store.ys[: point.rows]
-        solver = point.stepper(driver)
+        store.ts = chain.store.ts[: chain.rows]
+        store.ys = chain.store.ys[: chain.rows]
+        solver = copy.copy(chain.solver)
+        solver.fun = driver.rhs
     if driver.power_floor is not None:
-        chain.point = _ResumePoint(solver, store)
+        chain.mark(solver, store)
     tol = max(_BISECT_TOL_FACTOR * (t1 - t0), 1e-15)
 
     t_end, y_end, event = t1, solver.y, None
@@ -909,7 +899,7 @@ def _run_segment(
         store.emit_grid_range(dense, t_prev, t_now)
         y_end = y_now
         if driver.power_floor is not None:
-            chain.point = _ResumePoint(solver, store)
+            chain.mark(solver, store)
     else:
         store.emit(t1, y_end)
 

@@ -240,6 +240,14 @@ class TestReboundAndStall:
         assert [e.kind for e in traj.events] == [UNRESOLVED]
         assert traj.events[0].t_event == pytest.approx(0.4999, abs=1e-6)
 
+    def test_fit_past_the_horizon_is_clamped_to_it(self):
+        # the probe certifies the stick at t ~ 0.4999888, before t_end, and
+        # the fit puts the collapse at 0.4999999992, after it: the event is
+        # reported at t_end exactly
+        traj = solve_piecewise(_two_body(2.0), SolverConfig(t_end=0.49999))
+        assert [(e.kind, e.group) for e in traj.events] == [(STICKING, (0, 1))]
+        assert traj.events[0].t_event == 0.49999
+
     def test_unresolved_when_probe_budget_runs_out(self, monkeypatch):
         # the run ends just after the collapse time 0.5: the pair is left
         # unmerged inside the cap region, where every further step is short
@@ -604,6 +612,30 @@ class TestStepperOracle:
         steps, msg = self._assert_as_scipy(lambda t, y: y * y, 0.0, [1.0], 2.0, rtol=1e-6, atol=1e-9)
         assert msg == "Required step size is less than spacing between numbers."
         assert abs(steps[-1][1] - 1.0) < 1e-3
+
+
+class _PoisonedRK45(integrator.RK45):
+    """The package's RK45 with every stage set to NaN before each step."""
+
+    def step(self):
+        self.K[...] = np.nan
+        return super().step()
+
+
+class TestStagesWrittenBeforeRead:
+    """Each attempt writes every stage before it reads it, so steppers may
+    share one stage array if they step one after another (a cap family's
+    resumed steppers do): stages left by earlier steps change nothing."""
+
+    @pytest.mark.parametrize(
+        "rhs,t_bound", [(_storm_rhs, 0.1), (_head_on_rhs, 0.7)], ids=["storm", "head_on"]
+    )
+    def test_poisoned_stages_change_nothing(self, rhs, t_bound):
+        fun, y0 = rhs()
+        poisoned = _steps_of(_PoisonedRK45, fun, 0.0, y0, t_bound, **_TOL)
+        assert poisoned == _steps_of(integrator.RK45, fun, 0.0, y0, t_bound, **_TOL)
+        steps, msg = poisoned
+        assert msg is None and steps[-1][1] == t_bound
 
 
 class TestStepFailures:

@@ -10,16 +10,16 @@ writes each config's files to ``OUT_DIR/<name>/``, then parses a fixed
 list of invalid configs and writes one line per config to
 ``OUT_DIR/errors.txt``: the exception type, its ``.key`` and its message
 (or ``accepted``), so that a changed validation message shows up in the
-diff too.  Last it solves a fixed set of seeded random scenarios (storms,
+diff too.  Last it solves a fixed set of scenarios (seeded random storms,
 pairs that start inside ``d_stick``, coincident clusters and cap
-families) and writes one line per scenario to ``OUT_DIR/hashes.txt``: a
-SHA-256 over each run's ``t``, ``x``, ``v`` and ``grid_mask``, its
-events with their floats in hex, and its final state (or the error the
-solve raised), so that a change in the last bit of any of them shows up
-in the diff.  ``flocksim`` is imported from ``PYTHONPATH``, so another
-checkout (a clone of an older commit, say) can be snapshotted with this
-same script and the two snapshots compared with ``diff -r``.  The whole
-set runs in well under 30 seconds.
+families, and the benchmark's converge_2c families) and writes one line
+per scenario to ``OUT_DIR/hashes.txt``: a SHA-256 over each run's ``t``,
+``x``, ``v`` and ``grid_mask``, its events with their floats in hex, and
+its final state (or the error the solve raised), so that a change in the
+last bit of any of them shows up in the diff.  ``flocksim`` is imported
+from ``PYTHONPATH``, so another checkout (a clone of an older commit,
+say) can be snapshotted with this same script and the two snapshots
+compared with ``diff -r``.  The whole set runs in well under 30 seconds.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from flocksim import (
     make_system,
     run_family,
     solve_piecewise,
+    stick_time,
 )
 from flocksim.cli import generate_scenario, parse_config, run_command
 from flocksim.errors import ConfigError, FlockError, ValidationError
@@ -300,9 +301,9 @@ def _hash_cases():
         config = SolverConfig(t_end=t_end, sample_dt=sample_dt)
         return lambda: [solve_piecewise(make_system(x, v, SingularKernel(alpha=alpha)), config)]
 
-    def family(x, v, t_end):
+    def family(x, v, t_end, alpha=0.5, n_list=(100, 1000, 10000)):
         config = SolverConfig(t_end=t_end)
-        return lambda: run_family(x, v, 0.5, (100, 1000, 10000), config)
+        return lambda: run_family(x, v, alpha, n_list, config)
 
     for seed in range(20):
         rng, x, v = storm(seed)
@@ -330,6 +331,19 @@ def _hash_cases():
             u = (3.0, 4.0, 4.5)[seed % 3]
             x, v = np.array([[-0.5], [0.5]]), np.array([[0.5 * u], [-0.5 * u]])
         cases.append((f"family_{seed}", family(x, v, 0.6 if seed % 2 else 0.2)))
+    # the benchmark's converge_2c entries (N, d, alpha, m): clusters of m and
+    # N - m rows, centre of mass at rest, closing at the critical rate from
+    # unit separation, to 1.25 times the stick time, over caps 10 to 1e6
+    caps = tuple(10**k for k in range(1, 7))
+    for n, d, alpha, m in ((16, 1, 0.75, 8), (20, 2, 0.5, 5), (16, 3, 0.25, 8)):
+        e = np.array((1.0, 2.0, 3.0)[:d])
+        e /= np.linalg.norm(e)
+        u = 2.0 / (1.0 - alpha)
+        first = (np.arange(n) < m)[:, None]
+        x = np.where(first, -(n - m) / n * e, m / n * e)
+        v = np.where(first, (n - m) / n * u * e, -m / n * u * e)
+        t_end = 1.25 * stick_time(1.0, alpha)
+        cases.append((f"family_2c_n{n}_d{d}_a{alpha}", family(x, v, t_end, alpha, caps)))
     return cases
 
 
