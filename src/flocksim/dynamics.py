@@ -23,9 +23,10 @@ flattened N x N buffer through the linear indices ``i*N + j`` and
 ``j*N + i``, then the force reduction: one matrix product of the weights
 with the velocities, less each row's weight sum times the row's velocity,
 scaled by 2/N in place.  :func:`pair_slots` builds the indices, the zeroed
-weight buffer and the separation buffer once for a fixed pair list (that
-of the solver's driver for one partition), so a call writes only the P
-separations and weights, and every weight off the list stays zero.
+weight buffer with its N x N view, the separation buffer and 2/N once for
+a fixed pair list (that of the solver's driver for one partition), so a
+call writes only the P separations and weights, and every weight off the
+list stays zero.
 
 A cluster is named by its smallest member, its root.  A cluster's rows
 coincide bitwise, so the pairs across two clusters share one gap, and the
@@ -139,15 +140,17 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     return ParticleSystem(x, v, kernel, part)
 
 
-def pair_slots(pairs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def pair_slots(pairs, n: int) -> tuple:
     """Linear indices ``(i*n + j, j*n + i)`` of ``pairs`` in a flattened
-    n x n matrix, a zeroed ``(n*n,)`` weight buffer for them, and a
-    ``(P,)`` buffer for their separations.  A caller that reuses one pair
-    list builds them once; each :func:`acceleration_arrays` call then
-    writes the P separations and only the listed entries of the weight
-    buffer, so every other entry stays zero."""
+    n x n matrix, a zeroed ``(n*n,)`` weight buffer for them, a ``(P,)``
+    buffer for their separations, the buffer's ``(n, n)`` view and the
+    coupling ``2/n``.  A caller that reuses one pair list builds them once;
+    each :func:`acceleration_arrays` call then writes the P separations and
+    only the listed entries of the weight buffer, so every other entry
+    stays zero."""
     pi, pj = pairs
-    return pi * n + pj, pj * n + pi, np.zeros(n * n), np.empty(pi.size)
+    w = np.zeros(n * n)
+    return pi * n + pj, pj * n + pi, w, np.empty(pi.size), w.reshape(n, n), 2.0 / n
 
 
 def pair_norms(z: np.ndarray, pairs, out=None) -> np.ndarray:
@@ -190,23 +193,21 @@ def acceleration_arrays(
     Rows of stuck particles are identical, and the column means vanish up
     to roundoff, so the mean velocity is a conserved quantity of the flow.
     """
-    n = x.shape[0]
-    ij, ji, w, dist = slots
+    ij, ji, w, dist, w_nn, coupling = slots
     pair_norms(x, pairs, out=dist)
     if isinstance(kernel, SingularKernel) and (dist == 0.0).any():
         raise SingularEvaluationError(
             "zero separation between distinct clusters under the singular weight"
         )
     w[ij] = w[ji] = kernel.weight(dist)
-    w = w.reshape(n, n)
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
     # The 2/N coupling makes the two-particle system reduce exactly to the
     # separation equation d2(phi)/dt2 = -2 psi(|phi|) d(phi)/dt that the
     # twobody module solves in closed form.
-    a = np.matmul(w, v, out=out)
-    a -= np.add.reduce(w, axis=1, keepdims=True) * v
-    a *= 2.0 / n
+    a = np.matmul(w_nn, v, out=out)
+    a -= np.add.reduce(w_nn, axis=1, keepdims=True) * v
+    a *= coupling
     return a
 
 

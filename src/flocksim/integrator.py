@@ -76,7 +76,10 @@ records.
 
 The stepper is :class:`RK45`, the package's own Dormand-Prince 5(4)
 (DOPRI5) with FSAL stages and quartic dense output.  It matches scipy's
-``RK45`` bit for bit, so the solver needs numpy only.
+``RK45`` bit for bit, so the solver needs numpy only.  Its right-hand side
+writes each derivative in place, ``fun(t, y, out)``: the driver's
+:meth:`_Driver.rhs` fills the stepper's stage row, and no RHS call
+allocates a derivative.
 """
 
 from __future__ import annotations
@@ -222,17 +225,16 @@ class _Driver:
         # inter-cluster separation below it
         self.power_floor: Optional[float] = None
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        # a fresh array per call: the stepper keeps each returned derivative
-        dy = np.empty_like(y)
+    def rhs(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
+        """Write the derivative at ``y`` into ``out``, a contiguous array of
+        ``y``'s shape (a row of the stepper's stage array)."""
         xv = y.reshape(self.halves)
-        dxv = dy.reshape(self.halves)
+        dxv = out.reshape(self.halves)
         dxv[0] = xv[1]
         acceleration_arrays(xv[0], xv[1], self.pairs, self.kernel, self.slots, out=dxv[1])
         # the call left the separations in the slots
         if self.power_floor is not None and not self.slots[3].min() >= self.power_floor:
             self.power_floor = None  # a NaN separation clears it too
-        return dy
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -413,14 +415,16 @@ class _Dense:
         if isinstance(x, np.ndarray) and x.ndim:
             p = np.empty((self.q.shape[1], x.size))
             p[:] = x
-            np.cumprod(p, axis=0, out=p)
-            y = self.h * np.dot(self.q, p)
+            np.multiply.accumulate(p, axis=0, out=p)  # the powers of x, as np.cumprod
+            y = np.dot(self.q, p)
+            y *= self.h
             y += self.y_old[:, None]
             return y
-        # one time: the powers x, x**2, x**3, x**4 by cumprod's multiplies
+        # one time: the powers x, x**2, x**3, x**4 by the same multiplies
         x2 = x * x
         x3 = x2 * x
-        y = self.h * np.dot(self.q, np.array([x, x2, x3, x3 * x]))
+        y = np.dot(self.q, np.array([x, x2, x3, x3 * x]))
+        y *= self.h
         y += self.y_old
         return y
 
@@ -456,7 +460,9 @@ def _rms(x: np.ndarray):
 
 class RK45:
     """Dormand-Prince 5(4) stepper with FSAL stages and quartic dense output,
-    integrating ``y' = fun(t, y)`` forward from ``(t0, y0)`` to ``t_bound``.
+    integrating ``y' = f(t, y)`` forward from ``(t0, y0)`` to ``t_bound``.
+    ``fun(t, y, out)`` writes ``f(t, y)`` into ``out``, a contiguous float
+    array of ``y``'s shape, and keeps no reference to ``y`` or ``out``.
 
     The arithmetic is scipy 1.17.1's ``RK45``, operation for operation, so
     both produce the same steps, states and dense output bit for bit: the
@@ -468,10 +474,17 @@ class RK45:
     None, or sets ``status`` to ``"failed"`` and returns the reason when
     the step would fall below ten spacings of the floats at ``t``.
 
-    The stages live in one ``(7, n)`` array ``K``.  The transposed views
-    that the ``np.dot`` calls read (``K[:s].T`` for stages 1 to 5,
+    The stages live in one ``(7, n)`` array ``K``, and ``fun`` writes each
+    stage's derivative straight into its row.  The rows and the transposed
+    views that the ``np.dot`` calls read (``K[:s].T`` for stages 1 to 5,
     ``K[:-1].T`` for the new state, ``K.T`` for the error and the dense
-    output) are built once, with ``K``, in the constructor.
+    output) are built once, with ``K``, in the constructor.  The stage
+    states, the new state and the error vector are scaled and shifted in
+    place, in the operand order that keeps scipy's bits (``x*h == h*x``,
+    ``y + dy == dy + y``).  The stage states and the new state are fresh
+    arrays, since the new state escapes into the samples, the dense output
+    and the next stepper; the FSAL derivative ``f`` is copied out of
+    ``K[-1]`` once per accepted step, so it never aliases ``K``.
     """
 
     C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
@@ -522,12 +535,13 @@ class RK45:
         self.rtol = rtol
         self.atol = atol
         self.status = "running"
-        self.f = fun(t0, self.y)
+        self.f = np.empty_like(self.y)
+        fun(t0, self.y, self.f)
         self.h_abs = self._initial_step()
         self.K = K = np.empty((7, self.y.size))
         self.KT = K.T
         self.KT_new = K[:-1].T
-        self.stages = [(s, c, a, K[:s].T) for s, (c, a) in enumerate(self.STAGES, 1)]
+        self.stages = [(K[s], float(c), a, K[:s].T) for s, (c, a) in enumerate(self.STAGES, 1)]
 
     def _initial_step(self) -> float:
         """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4),
@@ -541,7 +555,8 @@ class RK45:
         d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, span)
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        f1 = np.empty_like(y0)
+        self.fun(t0 + h0, y0 + h0 * f0, f1)
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -570,9 +585,15 @@ class RK45:
                 return self.TOO_SMALL_STEP
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            y_new, f_new = self._attempt(t, y, h)
-            scale = self.atol + np.maximum(abs_y, np.abs(y_new)) * self.rtol
-            error_norm = _rms(np.dot(self.KT, self.E) * h / scale)
+            y_new = self._attempt(t, y, h)
+            scale = np.abs(y_new)
+            np.maximum(abs_y, scale, out=scale)
+            scale *= self.rtol
+            scale += self.atol
+            err = np.dot(self.KT, self.E)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -585,25 +606,30 @@ class RK45:
             h_abs = h * max(self.MIN_FACTOR, self.SAFETY * error_norm**self.EXPONENT)
             rejected = True
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        # the FSAL derivative is copied out of K, which resumed copies share
+        self.t, self.y, self.f = t_new, y_new, self.K[-1].copy()
         self.h_abs = h_abs
         if t_new == self.t_bound:
             self.status = "finished"
         return None
 
     def _attempt(self, t, y, h):
-        """One Runge-Kutta attempt of size ``h``: the 5th-order state and its
-        derivative, with the stages left in ``K`` for the error and the
-        dense output."""
+        """One Runge-Kutta attempt of size ``h``: the 5th-order state, with
+        every stage, its derivative last, written into ``K`` for the error
+        and the dense output.  Each stage state and the new state are fresh
+        arrays: the new state escapes into the store and the dense output."""
         K = self.K
         K[0] = self.f
-        for s, c, a, KT in self.stages:
-            dy = np.dot(KT, a) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(self.KT_new, self.B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
+        for k, c, a, KT in self.stages:
+            y_stage = np.dot(KT, a)
+            y_stage *= h
+            y_stage += y
+            self.fun(t + c * h, y_stage, k)
+        y_new = np.dot(self.KT_new, self.B)
+        y_new *= h
+        y_new += y
+        self.fun(t + h, y_new, K[-1])
+        return y_new
 
     def dense_output(self):
         """The interpolant over the last accepted step."""
@@ -653,13 +679,17 @@ class _Chain:
         """Make the step boundary at which ``solver`` stands the resume point.
 
         The copy shares ``solver``'s stage array ``K``, and so does every
-        stepper resumed from it.  That is safe because ``_attempt`` writes
+        stepper resumed from it; the RHS writes each derivative into a row
+        of that shared ``K``.  That is safe because ``_attempt`` writes
         ``K[0] = self.f`` and then each later stage before any read of it;
-        the error norm and ``dense_output`` read only the stages of the
-        accepted attempt, and :class:`_Dense` keeps its own coefficient
-        array (``KT.dot(P)``); and the copies that share one ``K`` step one
-        after another: a member's first-phase stepper is finished before
-        the next member resumes, and a recorded copy never steps itself."""
+        the FSAL derivative ``f`` that a copy resumes from is its own array,
+        copied out of ``K[-1]`` once per accepted step, never a view of
+        ``K``, so a later step of another copy cannot change it; the error
+        norm and ``dense_output`` read only the stages of the accepted
+        attempt, and :class:`_Dense` keeps its own coefficient array
+        (``KT.dot(P)``); and the copies that share one ``K`` step one after
+        another: a member's first-phase stepper is finished before the next
+        member resumes, and a recorded copy never steps itself."""
         self.solver = copy.copy(solver)
         self.store = store
         self.rows = len(store.ts)

@@ -189,10 +189,11 @@ def _floor_samples(phi0: float, dphi0: float, kernel: CuckerSmaleKernel, t_end: 
     The stepper is imported here: ``integrator`` imports :func:`stick_time`."""
     from .integrator import RK45, _steps
 
-    def rhs(t, y):
+    def rhs(t, y, out):
         phi, dphi = y
         # the bounded weight is plain arithmetic, safe on scalars
-        return np.array([dphi, -2.0 * dphi * kernel.weight(abs(phi))])
+        out[0] = dphi
+        out[1] = -2.0 * dphi * kernel.weight(abs(phi))
 
     ts = np.linspace(0.0, t_end, int(round(t_end / 1e-2)) + 1)
     ys = np.empty((2, len(ts)))

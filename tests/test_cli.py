@@ -697,6 +697,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # a Latin-1 byte where UTF-8 is required: invalid input, not a crash
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[scenario]\n# caf\xe9\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {cfg}: ")
+        assert "can't decode byte 0xe9" in err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[weird]\n", encoding="utf-8")

@@ -60,9 +60,9 @@ def _rhs_calls_per_cap(monkeypatch):
     calls = Counter()
     rhs = integrator._Driver.rhs
 
-    def counted(self, t, y):
+    def counted(self, t, y, out):
         calls[self.kernel.n] += 1
-        return rhs(self, t, y)
+        return rhs(self, t, y, out)
 
     monkeypatch.setattr(integrator._Driver, "rhs", counted)
     return calls

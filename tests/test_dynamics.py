@@ -262,24 +262,27 @@ class TestWeightBuffer:
         driver = _Driver(s, SolverConfig())
         for seed in (11, 12):
             y = self._state(seed, 7, 2)
-            fresh = _Driver(s, SolverConfig()).rhs(0.0, y)
-            assert driver.rhs(0.0, y).tobytes() == fresh.tobytes()
+            fresh, reused = np.empty_like(y), np.empty_like(y)
+            _Driver(s, SolverConfig()).rhs(0.0, y, fresh)
+            driver.rhs(0.0, y, reused)
+            assert reused.tobytes() == fresh.tobytes()
 
     def test_returned_derivative_survives_next_call(self):
         driver = _Driver(_random_system(4, 6, 3), SolverConfig())
-        first = driver.rhs(0.0, self._state(21, 6, 3))
+        first, second = np.empty(36), np.empty(36)
+        driver.rhs(0.0, self._state(21, 6, 3), first)
         kept = first.copy()
-        second = driver.rhs(0.0, self._state(22, 6, 3))
-        assert second is not first
+        driver.rhs(0.0, self._state(22, 6, 3), second)
+        assert second.tobytes() != kept.tobytes()
         assert first.tobytes() == kept.tobytes()
 
     def test_merged_rows_get_zero_weight_next_segment(self):
         s = _random_system(5, 6, 2)
         before = _Driver(s, SolverConfig())
-        before.rhs(0.0, np.concatenate([s.x.ravel(), s.v.ravel()]))
+        before.rhs(0.0, np.concatenate([s.x.ravel(), s.v.ravel()]), np.empty(24))
         merged = merge_clusters(s, (1, 4))
         after = _Driver(merged, SolverConfig())
-        after.rhs(0.0, np.concatenate([merged.x.ravel(), merged.v.ravel()]))
+        after.rhs(0.0, np.concatenate([merged.x.ravel(), merged.v.ravel()]), np.empty(24))
         w = after.slots[2].reshape(6, 6)
         assert w[1, 4] == 0.0 and w[4, 1] == 0.0
         ref = _dense_masked_weights(merged.x, merged.partition.labels(), after.kernel)

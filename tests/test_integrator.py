@@ -285,6 +285,61 @@ class TestReboundAndStall:
         assert 1e-4 < traj.events[0].t_event < 2e-3
 
 
+class TestMergeThenCrossing:
+    """A merge followed by more dynamics with two clusters, in 1D at alpha
+    0.5: rows 0 and 1 stick, and row 2 then crosses the merged cluster.
+    After the merge the system is two clusters, whose separation obeys the
+    two-body law for any split (the 2/N coupling), so ``classify`` pins the
+    crossing from the merged state."""
+
+    @staticmethod
+    def _run(closing):
+        x = np.array([[-0.25], [0.25], [9.0]])
+        v = np.array([[0.5 * closing], [-0.5 * closing], [-15.0]])
+        return solve_piecewise(make_system(x, v, SingularKernel(alpha=0.5)), SolverConfig(t_end=2.0))
+
+    def test_crossing_of_the_merged_cluster_matches_closed_form(self):
+        # bisect the closing speed of rows 0 and 1: too fast and their first
+        # event is a crossing, too slow and row 2 reaches them first
+        lo, hi = 1.0, 3.0
+        for _ in range(40):
+            closing = 0.5 * (lo + hi)
+            traj = self._run(closing)
+            first = (traj.events[0].kind, traj.events[0].group) if traj.events else None
+            if first == (STICKING, (0, 1)):
+                break
+            if first is not None and first[1] == (0, 1):
+                hi = closing
+            else:
+                lo = closing
+        else:
+            pytest.fail("no closing speed in [1, 3] makes rows 0 and 1 stick first")
+        assert [(e.kind, e.group) for e in traj.events] == [(STICKING, (0, 1)), (NON_STICK, (0, 1, 2))]
+
+        # the probe's exit is the last stored row before rows 0 and 1
+        # coincide; the merge puts the cluster at the mean of those rows
+        k = int(np.flatnonzero(traj.x[:, 0, 0] == traj.x[:, 1, 0])[0]) - 1
+        t_exit = traj.t[k]
+        x_c, v_c = traj.x[k, :2, 0].mean(), traj.v[k, :2, 0].mean()
+        assert traj.x[k + 1, 0, 0] == traj.x[k + 1, 1, 0] != traj.x[k, 0, 0]
+        ref = classify(TwoBodyProblem(float(traj.x[k, 2, 0] - x_c), float(traj.v[k, 2, 0] - v_c), 0.5))
+        e = traj.events[1]
+
+        config = SolverConfig()
+        cap = RegularizedKernel(alpha=0.5, n=config.n_reg)
+        # the cap takes delta = P(cap_end) - n*cap_end off the primitive P of
+        # the singular weight (the bridge spans 2e-18): the capped contact
+        # speed is the singular one plus 2*delta, and a crossing ends 4*delta
+        # off the singular law.  The speed interpolated at the closest
+        # approach is held to that crossing error about the contact speed
+        delta = 2.0 * math.sqrt(cap.cap_end) - cap.n * cap.cap_end
+        assert abs(e.rel_speed - (ref.impact_speed + 2.0 * delta)) <= 4.0 * delta
+        # the cap moves the transit by about 2*cap_end/s and the localization
+        # tolerance is 1e-12 of the span: the time error is the stepper's,
+        # held to rel_tol of the transit
+        assert abs(e.t_event - (t_exit + ref.t_hit)) <= config.rel_tol * ref.t_hit
+
+
 class TestDeterminismAndStability:
     def test_bitwise_repeatability(self):
         a = critical_two_body(0.5)
@@ -535,9 +590,9 @@ def _steps_of(stepper, fun, t0, y0, t_bound, **tol):
     far; then the failure message, or None."""
     calls = []
 
-    def counted(t, y):
+    def counted(t, *args):
         calls.append(t)
-        return fun(t, y)
+        return fun(t, *args)
 
     solver = stepper(counted, t0, np.array(y0, dtype=float), t_bound, **tol)
     steps = []
@@ -568,6 +623,21 @@ def _head_on_rhs():
 _TOL = dict(max_step=1e-2, rtol=1e-9, atol=1e-12)  # the SolverConfig defaults
 
 
+def _square(t, y, out):
+    np.multiply(y, y, out=out)
+
+
+def _returning(fun):
+    """The in-place RHS ``fun(t, y, out)`` as scipy's steppers call one:
+    ``fun(t, y)``, returning a fresh derivative."""
+    def call(t, y):
+        out = np.empty_like(y)
+        fun(t, y, out)
+        return out
+
+    return call
+
+
 class TestStepperOracle:
     """The package's RK45 copies the arithmetic of scipy's, so the two agree
     bit for bit on every step, dense value and RHS call."""
@@ -577,7 +647,7 @@ class TestStepperOracle:
         from scipy.integrate import RK45
 
         ours = _steps_of(integrator.RK45, fun, t0, y0, t_bound, **tol)
-        assert ours == _steps_of(RK45, fun, t0, y0, t_bound, **tol)
+        assert ours == _steps_of(RK45, _returning(fun), t0, y0, t_bound, **tol)
         return ours
 
     @pytest.mark.parametrize(
@@ -609,7 +679,7 @@ class TestStepperOracle:
 
     def test_step_underflow_fails_with_scipy_message(self):
         # y' = y**2 from y = 1 blows up at t = 1
-        steps, msg = self._assert_as_scipy(lambda t, y: y * y, 0.0, [1.0], 2.0, rtol=1e-6, atol=1e-9)
+        steps, msg = self._assert_as_scipy(_square, 0.0, [1.0], 2.0, rtol=1e-6, atol=1e-9)
         assert msg == "Required step size is less than spacing between numbers."
         assert abs(steps[-1][1] - 1.0) < 1e-3
 
@@ -641,13 +711,13 @@ class TestStagesWrittenBeforeRead:
 class TestStepFailures:
     def test_underflow_names_the_phase(self):
         # y' = y**2 from y = 1 blows up at t = 1
-        solver = integrator.RK45(lambda t, y: y * y, 0.0, np.array([1.0]), 2.0, rtol=1e-6, atol=1e-9)
+        solver = integrator.RK45(_square, 0.0, np.array([1.0]), 2.0, rtol=1e-6, atol=1e-9)
         with pytest.raises(LocalizationError, match="step size underflow in the phase: Required"):
             list(integrator._steps(solver, "in the phase"))
 
     def test_overflow_is_divergence(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            solver = integrator.RK45(lambda t, y: np.array([1e308]), 0.0, np.array([0.0]), 5.0)
+            solver = integrator.RK45(lambda t, y, out: out.fill(1e308), 0.0, np.array([0.0]), 5.0)
             with pytest.raises(DivergenceError, match=r"non-finite state at t=5\.0"):
                 list(integrator._steps(solver, "in the phase"))
 
@@ -655,7 +725,7 @@ class TestStepFailures:
         # f(t0) = inf makes every error norm NaN; the step shrinks to
         # underflow, which is reported by its cause
         with np.errstate(invalid="ignore"):
-            solver = integrator.RK45(lambda t, y: np.array([np.inf]), 0.0, np.array([0.0]), 1.0)
+            solver = integrator.RK45(lambda t, y, out: out.fill(np.inf), 0.0, np.array([0.0]), 1.0)
             with pytest.raises(DivergenceError, match=r"^non-finite derivative at t=0\.0$"):
                 list(integrator._steps(solver, "in the phase"))
 
@@ -664,7 +734,7 @@ class TestStepFailures:
         # a main-phase stepper on y' = y**2 blows up where v = 2 does, at
         # t = 0.5; the positions stay apart, so no crossing intervenes
         def blow_up(driver, t0, y0, t_bound, config):
-            return integrator.RK45(lambda t, y: y * y, t0, y0, t_bound,
+            return integrator.RK45(_square, t0, y0, t_bound,
                                    max_step=config.sample_dt, rtol=config.rel_tol, atol=config.abs_tol)
 
         monkeypatch.setattr(integrator, "_stepper", blow_up)
