@@ -140,7 +140,9 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     return ParticleSystem(x, v, kernel, part)
 
 
-def pair_slots(pairs, n: int) -> tuple:
+def pair_slots(
+    pairs, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Linear indices ``(i*n + j, j*n + i)`` of ``pairs`` in a flattened
     n x n matrix, a zeroed ``(n*n,)`` weight buffer for them, a ``(P,)``
     buffer for their separations, the buffer's ``(n, n)`` view and the
