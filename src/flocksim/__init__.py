@@ -8,108 +8,51 @@ problem, trajectory diagnostics, and convergence runs across capped
 approximations of the weight.
 """
 
-from .convergence import ConvergenceReport, cauchy_table, run_family
-from .diagnostics import (
-    DIVERGENT,
-    FINITE,
-    INCONCLUSIVE,
-    DiagnosticsReport,
-    DissipationResult,
-    HolderFit,
-    IntegrabilityRecord,
-    conservation_residual,
-    dissipation_check,
-    holder_exponent,
-    integrability_probe,
-    ordered_sums_check,
-    run_diagnostics,
-)
-from .dynamics import ClusterPartition, ParticleSystem, make_system, merge_clusters
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    FlockError,
-    InsufficientDataError,
-    LocalizationError,
-    SingularEvaluationError,
-    ValidationError,
-)
-from .integrator import (
-    NON_STICK,
-    STICKING,
-    UNRESOLVED,
-    CollisionEvent,
-    PiecewiseTrajectory,
-    SolverConfig,
-    solve_piecewise,
-)
-from .kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
-from .twobody import (
-    CollideNonstick,
-    FloorCheckResult,
-    LevelGapRecord,
-    NoCollision,
-    StickFiniteTime,
-    TwoBodyProblem,
-    bounded_weight_floor_check,
-    classify,
-    critical_velocity,
-    level_time_bound_check,
-    stick_time,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SingularKernel",
-    "RegularizedKernel",
-    "CuckerSmaleKernel",
-    "ClusterPartition",
-    "ParticleSystem",
-    "make_system",
-    "merge_clusters",
-    "TwoBodyProblem",
-    "StickFiniteTime",
-    "CollideNonstick",
-    "NoCollision",
-    "critical_velocity",
-    "stick_time",
-    "classify",
-    "LevelGapRecord",
-    "level_time_bound_check",
-    "FloorCheckResult",
-    "bounded_weight_floor_check",
-    "SolverConfig",
-    "CollisionEvent",
-    "PiecewiseTrajectory",
-    "solve_piecewise",
-    "STICKING",
-    "NON_STICK",
-    "UNRESOLVED",
-    "DiagnosticsReport",
-    "DissipationResult",
-    "HolderFit",
-    "IntegrabilityRecord",
-    "conservation_residual",
-    "dissipation_check",
-    "ordered_sums_check",
-    "holder_exponent",
-    "integrability_probe",
-    "run_diagnostics",
-    "FINITE",
-    "DIVERGENT",
-    "INCONCLUSIVE",
-    "ConvergenceReport",
-    "run_family",
-    "cauchy_table",
-    "FlockError",
-    "DomainError",
-    "SingularEvaluationError",
-    "DivergenceError",
-    "LocalizationError",
-    "InsufficientDataError",
-    "ConfigError",
-    "ValidationError",
-]
+# public name -> the submodule that defines it, in ``__all__`` order.  A
+# submodule is imported on the first access to one of its names, so
+# ``import flocksim`` loads none of them.
+_HOME = {
+    "SingularKernel": "kernels", "RegularizedKernel": "kernels", "CuckerSmaleKernel": "kernels",
+    "ClusterPartition": "dynamics", "ParticleSystem": "dynamics", "make_system": "dynamics",
+    "merge_clusters": "dynamics",
+    "TwoBodyProblem": "twobody", "StickFiniteTime": "twobody", "CollideNonstick": "twobody",
+    "NoCollision": "twobody", "critical_velocity": "twobody", "stick_time": "twobody",
+    "classify": "twobody", "LevelGapRecord": "twobody", "level_time_bound_check": "twobody",
+    "FloorCheckResult": "twobody", "bounded_weight_floor_check": "twobody",
+    "SolverConfig": "integrator", "CollisionEvent": "integrator",
+    "PiecewiseTrajectory": "integrator", "solve_piecewise": "integrator",
+    "STICKING": "integrator", "NON_STICK": "integrator", "UNRESOLVED": "integrator",
+    "DiagnosticsReport": "diagnostics", "DissipationResult": "diagnostics",
+    "HolderFit": "diagnostics", "IntegrabilityRecord": "diagnostics",
+    "conservation_residual": "diagnostics", "dissipation_check": "diagnostics",
+    "ordered_sums_check": "diagnostics", "holder_exponent": "diagnostics",
+    "integrability_probe": "diagnostics", "run_diagnostics": "diagnostics",
+    "FINITE": "diagnostics", "DIVERGENT": "diagnostics", "INCONCLUSIVE": "diagnostics",
+    "ConvergenceReport": "convergence", "run_family": "convergence",
+    "cauchy_table": "convergence",
+    "FlockError": "errors", "DomainError": "errors", "SingularEvaluationError": "errors",
+    "DivergenceError": "errors", "LocalizationError": "errors",
+    "InsufficientDataError": "errors", "ConfigError": "errors", "ValidationError": "errors",
+}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    """A public name, imported from its submodule on first access and then
+    kept as an attribute of the package."""
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

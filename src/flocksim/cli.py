@@ -48,7 +48,6 @@ Exit codes: 0 success, 1 numerical failure, 2 invalid input.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import operator
@@ -59,23 +58,13 @@ from typing import Optional
 
 import numpy as np
 
+# run_family stays a module global: _cmd_converge calls it through this
+# module, where a caller may wrap it to keep the family's trajectories
 from .convergence import _check_n_list, cauchy_table, run_family
-from .diagnostics import run_diagnostics
 from .dynamics import ParticleSystem, make_system
 from .errors import ConfigError, DomainError, FlockError, ValidationError
 from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
 from .kernels import CuckerSmaleKernel, SingularKernel, _check_alpha, _check_int, _check_positive
-from .twobody import (
-    CollideNonstick,
-    NoCollision,
-    StickFiniteTime,
-    TwoBodyProblem,
-    _check_floor_rate,
-    bounded_weight_floor_check,
-    classify,
-    critical_velocity,
-    level_time_bound_check,
-)
 
 __all__ = [
     "SplitMix64",
@@ -343,6 +332,8 @@ def parse_config(text: str, command: str = "simulate", out_dir: str = "flock_out
         if twobody is None:
             raise ValidationError("twobody needs a [twobody] section", key="phi0")
         if scenario.kernel == "cucker_smale":
+            from .twobody import _check_floor_rate
+
             _validated(None, _check_floor_rate, twobody.dphi0)
     if scenario.kernel == "singular" and scenario.alpha is None:
         raise ValidationError("required for the singular kernel", key="alpha")
@@ -501,6 +492,17 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_twobody(config: RunConfig, out: Path) -> None:
+    from .twobody import (
+        CollideNonstick,
+        NoCollision,
+        StickFiniteTime,
+        TwoBodyProblem,
+        bounded_weight_floor_check,
+        classify,
+        critical_velocity,
+        level_time_bound_check,
+    )
+
     sc = config.scenario
     tb = config.twobody
     lines = []
@@ -547,6 +549,8 @@ def _cmd_converge(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_diagnose(config: RunConfig, out: Path) -> None:
+    from .diagnostics import run_diagnostics
+
     system = build_system(config.scenario)
     traj = solve_piecewise(system, config.solver)
     report = run_diagnostics(traj)
@@ -600,6 +604,8 @@ def run_command(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="flock", description="alignment dynamics simulator and analysis tools"
     )

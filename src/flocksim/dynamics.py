@@ -120,8 +120,8 @@ class ParticleSystem:
 def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     """Build a validated system, grouping exactly coincident particles.
 
-    Particles whose positions and velocities are bitwise equal start in one
-    cluster; everyone else starts as a singleton.
+    Particles whose positions and velocities are equal (0.0 equals -0.0)
+    start in one cluster; everyone else starts as a singleton.
     """
     x = np.ascontiguousarray(x, dtype=float)
     v = np.ascontiguousarray(v, dtype=float)
@@ -134,9 +134,13 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     _check_kernel(kernel)
 
     part = ClusterPartition(x.shape[0])
-    same = (x[:, None] == x[None]).all(-1) & (v[:, None] == v[None]).all(-1)
-    # equality is an equivalence: each row's first equal row is its class's smallest
-    part._labels = same.argmax(axis=1)
+    # equal rows by one stable sort of the (x, v) rows; adding 0.0 turns
+    # -0.0 into 0.0, which == counts as equal.  Each row takes the first
+    # index of its class, the class's smallest.
+    _, first, inverse = np.unique(
+        np.hstack([x, v]) + 0.0, axis=0, return_index=True, return_inverse=True
+    )
+    part._labels = first[inverse.reshape(-1)]
     return ParticleSystem(x, v, kernel, part)
 
 

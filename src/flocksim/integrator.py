@@ -97,7 +97,6 @@ from .errors import DivergenceError, DomainError, LocalizationError
 from .kernels import (
     CuckerSmaleKernel, RegularizedKernel, _check_int, _check_kernel, _check_positive
 )
-from .twobody import stick_time
 
 __all__ = [
     "STICKING",
@@ -987,6 +986,8 @@ def _stick_time_fit(mon_t, mon_diam, driver: _Driver, config: SolverConfig) -> O
     span = float(ts[-1] - ts[0])
     if rms > max(_FIT_RESIDUAL_FRAC * span, 1e-12):
         return None
+    from .twobody import stick_time
+
     remaining_cap = stick_time(float(diams[-1]), alpha) * 2.0 * driver.n
     if t0_hat < ts[-1] - 1e-9 * max(1.0, abs(ts[-1])) or t0_hat > ts[-1] + remaining_cap:
         return None

@@ -667,6 +667,23 @@ class TestConvergeCommand:
         assert rows[1] == "5,,,0.0,0.0"
         assert rows[2] == "50,0.0,0.0,0.0,0.0"
 
+    def test_family_solve_goes_through_the_module_global(self, tmp_path, monkeypatch):
+        # a caller that wraps cli.run_family (the benchmark keeps the
+        # family's trajectories this way) sees every run the command makes
+        seen = []
+        orig = cli.run_family
+
+        def recording(*args, **kwargs):
+            runs = orig(*args, **kwargs)
+            seen.extend(runs)
+            return runs
+
+        monkeypatch.setattr(cli, "run_family", recording)
+        text = SIM_TEXT + "[converge]\nn_list = 5 50\n"
+        assert run_command(parse_config(text, "converge", str(tmp_path))) == 0
+        assert len(seen) == 2
+        assert all(isinstance(run, PiecewiseTrajectory) for run in seen)
+
 
 class TestDiagnoseCommand:
     def test_critical_pair_report(self, tmp_path):

@@ -145,6 +145,33 @@ class TestMakeSystem:
         with pytest.raises(DomainError):
             make_system([[np.inf], [0.0]], [[0.0], [0.0]], SingularKernel(alpha=0.5))
 
+    @staticmethod
+    def _cube_labels(x, v):
+        """The grouping's definition, as an N x N x d equality cube: each
+        row's label is the first row equal to it in x and in v."""
+        same = (x[:, None] == x[None]).all(-1) & (v[:, None] == v[None]).all(-1)
+        # equality is an equivalence: each row's first equal row is its class's smallest
+        return same.argmax(axis=1)
+
+    def test_labels_match_the_equality_cube(self):
+        # repeated rows drawn from a few values, zeros of both signs, every
+        # N up to 128 and d up to 3: the labels equal the cube's, dtype and
+        # bytes included
+        rng = np.random.default_rng(20240)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+        kernel = SingularKernel(alpha=0.5)
+        for _ in range(3000):
+            n, d = int(rng.integers(1, 129)), int(rng.integers(1, 4))
+            distinct = rng.choice(values, size=(int(rng.integers(1, n + 1)), 2 * d))
+            rows = distinct[rng.integers(0, len(distinct), size=n)]
+            zeros = rows == 0.0
+            rows[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+            x, v = rows[:, :d].copy(), rows[:, d:].copy()
+            labels = make_system(x, v, kernel).partition.labels()
+            cube = self._cube_labels(x, v)
+            assert labels.dtype == cube.dtype
+            assert labels.tobytes() == cube.tobytes(), (n, d)
+
     def test_copy_does_not_alias(self):
         s = _random_system(0, 3, 2)
         c = s.copy()

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flocksim
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,13 +47,52 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def _fresh_interpreter(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a new interpreter on this ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.split("\n")
+
+
 def test_package_never_loads_scipy():
     # the package needs numpy only: after the CLI's import, a colliding
     # pair's collide time and the bounded-weight floor check, no scipy
     # module has been loaded
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout.split("\n")
+    out = _fresh_interpreter(_IMPORT_GUARD)
     assert out[:3] == ["CollideNonstick", "True", "[]"]
+
+
+_LOAD_GUARD = """
+import sys
+unwanted = {"flocksim.diagnostics", "flocksim.twobody", "argparse"}
+import flocksim
+print(sorted(m for m in sys.modules if m.startswith("flocksim.")))
+import flocksim.cli as cli
+print(sorted(unwanted & sys.modules.keys()))
+text = "[scenario]\\nmode = generate\\nseed = 1\\nn = 4\\nd = 2\\nalpha = 0.5\\n"
+cli.build_system(cli.parse_config(text, "simulate").scenario)
+print(sorted(unwanted & sys.modules.keys()))
+"""
+
+
+def test_simulate_setup_loads_only_what_it_runs():
+    # a bare import loads no submodule; neither the CLI's import nor the
+    # set-up of a simulate run loads the analysis modules or argparse
+    out = _fresh_interpreter(_LOAD_GUARD)
+    assert out[:3] == ["[]", "[]", "[]"]
+
+
+def test_lazy_names_behave_as_eager_ones():
+    names = set(flocksim.__all__)
+    assert len(names) == len(flocksim.__all__)
+    assert names <= set(dir(flocksim))
+    namespace = {}
+    exec("from flocksim import *", namespace)
+    assert names <= namespace.keys()
+    from flocksim.twobody import stick_time
+
+    assert flocksim.stick_time is stick_time
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flocksim.no_such_name
