@@ -134,13 +134,14 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     _check_kernel(kernel)
 
     part = ClusterPartition(x.shape[0])
-    # equal rows by one stable sort of the (x, v) rows; adding 0.0 turns
-    # -0.0 into 0.0, which == counts as equal.  Each row takes the first
-    # index of its class, the class's smallest.
-    _, first, inverse = np.unique(
-        np.hstack([x, v]) + 0.0, axis=0, return_index=True, return_inverse=True
-    )
-    part._labels = first[inverse.reshape(-1)]
+    # equal rows by one stable sort of the (x, v) rows, each keyed by its
+    # bytes: adding 0.0 turns -0.0 into 0.0, after which finite rows are
+    # == exactly when their bytes are.  Each row takes the first index of
+    # its class, the class's smallest.
+    rows = np.hstack([x, v]) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    part._labels = first[inverse]
     return ParticleSystem(x, v, kernel, part)
 
 
