@@ -61,7 +61,7 @@ import numpy as np
 # run_family stays a module global: _cmd_converge calls it through this
 # module, where a caller may wrap it to keep the family's trajectories
 from .convergence import _check_n_list, cauchy_table, run_family
-from .dynamics import ParticleSystem, make_system
+from .dynamics import ParticleSystem, _equal_rows, make_system
 from .errors import ConfigError, DomainError, FlockError, ValidationError
 from .integrator import PiecewiseTrajectory, SolverConfig, solve_piecewise
 from .kernels import CuckerSmaleKernel, SingularKernel, _check_alpha, _check_int, _check_positive
@@ -387,33 +387,6 @@ def _write_text(path: Path, content: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-# sample rows per block of the repeated-column check, which bounds the
-# size of the block copies it compares
-_CHECK_ROWS = 256
-
-
-def _repeat_sources(bits: np.ndarray) -> np.ndarray:
-    """Per column of ``bits``, a (samples, columns) ``uint64`` view of the
-    packed rows, the first column with its bit pattern on every row.
-
-    Candidate repeats share a bit pattern on the first row; each is then
-    compared with its group's first column, a block of rows at a time, and
-    one that differs on any row keeps its own column.  The map is exact,
-    and ``0.0`` and ``-0.0`` never share a column."""
-    ncol = bits.shape[1]
-    _, first, inverse = np.unique(bits[0], return_index=True, return_inverse=True)
-    src = first[inverse]
-    cand = np.flatnonzero(src != np.arange(ncol))
-    for lo in range(0, len(bits), _CHECK_ROWS):
-        if not cand.size:
-            break
-        block = bits[lo : lo + _CHECK_ROWS]
-        differs = np.any(block[:, cand] != block[:, src[cand]], axis=0)
-        src[cand[differs]] = cand[differs]
-        cand = cand[~differs]
-    return src
-
-
 def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
     """Write trajectory.csv and events.jsonl with round-trippable decimals.
 
@@ -430,14 +403,11 @@ def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
     # is the text _fmt writes.  Row by row, so that no more than one row
     # of float objects is alive at a time.
     rows = np.column_stack([traj.t, traj.x.reshape(s, -1), traj.v.reshape(s, -1)])
-    src = _repeat_sources(rows.view(np.uint64))
-    heads = np.flatnonzero(src == np.arange(src.size))
-    if heads.size == src.size:
-        lines += [",".join(map(repr, row.tolist())) for row in rows]
-    else:
-        # each column's text is its source column's, by position in heads
-        fan = operator.itemgetter(*np.searchsorted(heads, src).tolist())
-        lines += [",".join(fan([*map(repr, row.tolist())])) for row in rows[:, heads]]
+    first, inverse = _equal_rows(np.ascontiguousarray(rows.T))
+    # each column's text is its class's; with at least 3 columns the
+    # itemgetter returns a tuple
+    fan = operator.itemgetter(*inverse.tolist())
+    lines += [",".join(fan([*map(repr, row.tolist())])) for row in rows[:, first]]
     _write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
 
     ev_lines = []
@@ -566,9 +536,9 @@ def _cmd_diagnose(config: RunConfig, out: Path) -> None:
         lines.append(f"holder_exponent = {_fmt(report.holder.exponent)}")
         lines.append(f"holder_residual = {_fmt(report.holder.residual)}")
     for idx, rec in enumerate(report.integrability, start=1):
-        est = "nan" if math.isnan(rec.estimate) else _fmt(rec.estimate)
         lines.append(
-            f"integrability_{idx} = {rec.pair[0]} {rec.pair[1]} {est} {rec.classification}"
+            f"integrability_{idx} = {rec.pair[0]} {rec.pair[1]} {_fmt(rec.estimate)} "
+            f"{rec.classification}"
         )
     _write_text(out / "report.txt", "".join(line + "\n" for line in lines))
     series = ["t,r"]

@@ -134,15 +134,23 @@ def make_system(x, v, kernel: WeightKernel) -> ParticleSystem:
     _check_kernel(kernel)
 
     part = ClusterPartition(x.shape[0])
-    # equal rows by one stable sort of the (x, v) rows, each keyed by its
-    # bytes: adding 0.0 turns -0.0 into 0.0, after which finite rows are
-    # == exactly when their bytes are.  Each row takes the first index of
-    # its class, the class's smallest.
-    rows = np.hstack([x, v]) + 0.0
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # adding 0.0 turns -0.0 into 0.0, after which finite rows are ==
+    # exactly when their bytes are
+    first, inverse = _equal_rows(np.hstack([x, v]) + 0.0)
     part._labels = first[inverse]
     return ParticleSystem(x, v, kernel, part)
+
+
+def _equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a C-contiguous 2-D array by their bytes.
+
+    Returns ``(first, inverse)``: ``first[c]`` is the smallest index of
+    class ``c`` and ``inverse[i]`` is row ``i``'s class, so ``first[inverse]``
+    labels each row with the first row whose bytes equal its own.  One
+    stable sort of the rows keyed by their bytes does it."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def pair_slots(

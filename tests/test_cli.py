@@ -5,7 +5,6 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from hypothesis import strategies as st
 
 from flocksim import cli
 from flocksim.cli import (
+    RunConfig,
+    ScenarioConfig,
     SplitMix64,
     build_system,
     generate_scenario,
@@ -25,7 +26,13 @@ from flocksim.cli import (
 from flocksim.convergence import _check_n_list
 from flocksim.dynamics import make_system
 from flocksim.errors import ConfigError, DomainError, ValidationError
-from flocksim.integrator import STICKING, PiecewiseTrajectory, SolverConfig, solve_piecewise
+from flocksim.integrator import (
+    STICKING,
+    CollisionEvent,
+    PiecewiseTrajectory,
+    SolverConfig,
+    solve_piecewise,
+)
 from flocksim.kernels import CuckerSmaleKernel, RegularizedKernel, SingularKernel
 from flocksim.twobody import (
     TwoBodyProblem,
@@ -181,6 +188,14 @@ class TestParseErrors:
             parse_config("[scenario]\nmode = auto\n")
         with pytest.raises(ValidationError, match="kernel must be"):
             parse_config("[scenario]\nkernel = bounded\n")
+        for text, key, message in [
+            (SIM_TEXT.replace("n = 2", "n = 3.5"), "n", "not an integer: '3.5'"),
+            (SIM_TEXT + "rel_tol = inf\n", "rel_tol", "must be finite, got 'inf'"),
+            (SIM_TEXT + "rel_tol = nan\n", "rel_tol", "must be finite, got 'nan'"),
+        ]:
+            with pytest.raises(ValidationError) as exc_info:
+                parse_config(text)
+            assert (exc_info.value.key, str(exc_info.value)) == (key, f"{key}: {message}")
 
     @pytest.mark.parametrize(
         "key,value",
@@ -357,6 +372,9 @@ class TestParseErrors:
             parse_config(base + "x_1 = 0.0\nx_2 = 1.0\nx_5 = 9.0\nv_1 = 0.0\nv_2 = 0.0\n")
         with pytest.raises(ValidationError, match="inline rows need n and d"):
             parse_config("[scenario]\nalpha = 0.5\nx_1 = 0.0\n")
+        with pytest.raises(ValidationError, match="need x_i and v_i rows") as exc_info:
+            parse_config(base)
+        assert exc_info.value.key == "x_1"
 
     def test_command_requirements(self):
         with pytest.raises(ValidationError, match="unknown command"):
@@ -369,8 +387,15 @@ class TestParseErrors:
             parse_config("[scenario]\nalpha = 0.5\n[twobody]\ndphi0 = -1.0\n", command="twobody")
         with pytest.raises(ValidationError, match="converge needs"):
             parse_config(SIM_TEXT, command="converge")
+        with pytest.raises(ValidationError, match="required for convergence runs") as exc_info:
+            parse_config(SIM_TEXT + "[converge]\n", command="converge")
+        assert exc_info.value.key == "n_list"
         with pytest.raises(ValidationError, match="required"):
             parse_config("[scenario]\nmode = generate\nn = 2\nd = 1\nalpha = 0.5\n")
+        for key, text in [("n", "d = 1\n"), ("d", "n = 3\n")]:
+            with pytest.raises(ValidationError) as exc_info:
+                parse_config(f"[scenario]\nmode = generate\nalpha = 0.5\n{text}", "simulate")
+            assert (exc_info.value.key, str(exc_info.value)) == (key, f"{key}: required")
         with pytest.raises(ValidationError, match="singular kernel"):
             text = SIM_TEXT.replace("alpha = 0.5\n", "alpha = 0.5\nkernel = cucker_smale\n")
             parse_config(text + "[converge]\nn_list = 5 50\n", command="converge")
@@ -598,8 +623,7 @@ class TestTrajectoryWriter:
             final_state=None,
             config=SolverConfig(),
         )
-        block_rows = data.draw(st.integers(1, 3), "block rows")
-        with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "_CHECK_ROWS", block_rows):
+        with tempfile.TemporaryDirectory() as out:
             serialize_trajectory(traj, out)
             assert (Path(out) / "trajectory.csv").read_bytes() == _repr_csv(traj)
 
@@ -708,6 +732,29 @@ class TestDiagnoseCommand:
         assert series[1] == "0.0,32.0"
         assert len(series) > 10
 
+    def test_report_on_too_few_samples(self, tmp_path, monkeypatch):
+        # a pair closing at +-25 that sticks at the second of three samples:
+        # no Holder window and no probe window, so both fall back
+        x = np.array([[[-0.25], [0.25]], [[0.0], [0.0]], [[0.0], [0.0]]])
+        v = np.array([[[25.0], [-25.0]], [[0.0], [0.0]], [[0.0], [0.0]]])
+
+        def three_samples(system, config):
+            return PiecewiseTrajectory(
+                t=np.array([0.0, 0.01, 0.02]),
+                x=x,
+                v=v,
+                grid_mask=np.ones(3, dtype=bool),
+                events=[CollisionEvent(0.01, (0, 1), STICKING, 0.0, 0.0)],
+                final_state=make_system(x[-1], v[-1], system.kernel),
+                config=config,
+            )
+
+        monkeypatch.setattr(cli, "solve_piecewise", three_samples)
+        assert run_command(parse_config(SIM_TEXT, "diagnose", str(tmp_path))) == 0
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert not [line for line in report if line.startswith("holder_")]
+        assert report[-1] == "integrability_1 = 0 1 nan Inconclusive"
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -729,6 +776,11 @@ class TestExitCodes:
         cfg.write_text("[weird]\n", encoding="utf-8")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown section" in capsys.readouterr().err
+        # a RunConfig built by hand skips the parser; the library's rule still applies
+        scenario = ScenarioConfig(n=2, d=1, x=np.array([[-0.5], [0.5]]), v=np.array([[0.5], [-0.5]]))
+        config = RunConfig("converge", scenario, SolverConfig(t_end=0.7), (5, 50), str(tmp_path / "c"))
+        assert run_command(config) == 2
+        assert capsys.readouterr().err == "error: alpha must lie strictly in (0, 1), got None\n"
 
     def test_runtime_failure(self, tmp_path, capsys):
         # the velocity difference of a pair closing near the float limit
@@ -742,6 +794,11 @@ class TestExitCodes:
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == "error: non-finite derivative at t=0.0\n"
+        # an output path that cannot be written
+        csv = tmp_path / "w" / "trajectory.csv"
+        csv.mkdir(parents=True)
+        assert run_command(parse_config(SIM_TEXT, "simulate", str(csv.parent))) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {csv}: ")
 
     def test_failed_floor_check_is_a_runtime_failure(self, tmp_path, capsys):
         # a rate near the float limit overflows the derivative at the

@@ -22,7 +22,7 @@ from flocksim import (
     make_system,
     merge_clusters,
 )
-from flocksim.dynamics import acceleration_arrays, pair_norms, pair_slots
+from flocksim.dynamics import _equal_rows, acceleration_arrays, pair_norms, pair_slots
 from flocksim.integrator import _Driver
 
 
@@ -171,6 +171,30 @@ class TestMakeSystem:
             cube = self._cube_labels(x, v)
             assert labels.dtype == cube.dtype
             assert labels.tobytes() == cube.tobytes(), (n, d)
+
+    def test_equal_rows_match_the_bytes_cube(self):
+        # the trajectory writer's use: the columns of sample matrices of 1-6
+        # rows, repeated, with NaN payloads, 5e-324 and zeros of both signs
+        # kept apart; each column's label is the first column with its bytes
+        rng = np.random.default_rng(20250)
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001], np.uint64)
+        values = np.concatenate([[0.0, -0.0, 1.0, 5e-324, -5e-324], nans.view(float)])
+        cases = [np.array([[1.0, 1.0, 1.0, 5.0], [1.0, 2.0, 2.0, 6.0]])]
+        for _ in range(2000):
+            s, ncol = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+            templates = rng.choice(values, size=(s, int(rng.integers(1, ncol + 1))))
+            cases.append(templates[:, rng.integers(0, templates.shape[1], size=ncol)])
+        for samples in cases:
+            cols = np.ascontiguousarray(samples.T)
+            first, inverse = _equal_rows(cols)
+            bits = cols.view(np.uint64)
+            cube = (bits[:, None] == bits[None]).all(-1).argmax(axis=1)
+            assert first[inverse].dtype == cube.dtype
+            assert first[inverse].tobytes() == cube.tobytes(), samples
+            assert np.array_equal(np.sort(first), np.unique(cube))
+        # columns 1 and 2 differ from column 0 only after the first sample
+        first, inverse = _equal_rows(np.ascontiguousarray(cases[0].T))
+        assert first[inverse].tolist() == [0, 1, 1, 3]
 
     def test_copy_does_not_alias(self):
         s = _random_system(0, 3, 2)

@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +172,34 @@ class TestTwoClusterCollapse:
         assert [ev.kind for ev in traj.events] == [STICKING]
         assert traj.events[0].group == tuple(range(n))
         assert abs(traj.events[0].t_event - stick_time(phi0, alpha)) < 1e-6
+
+
+class TestStickTimeFit:
+    """The fit's gates on hand-built monitor rows t = 1 - C * diam**0.5."""
+
+    DRIVER = SimpleNamespace(alpha=0.5, fit_floor=1e-12, n=2)
+    DIAM = np.geomspace(9e-7, 1e-9, 12)
+
+    def _fit(self, t, diam, driver=DRIVER):
+        return integrator._stick_time_fit(t, diam, driver, SolverConfig())
+
+    def test_power_law_gives_the_intercept(self):
+        assert self._fit(1.0 - self.DIAM**0.5, self.DIAM) == pytest.approx(1.0, abs=1e-12)
+
+    def test_collapse_past_the_remaining_cap_is_rejected(self):
+        # t0 - ts[-1] = 3 * sqrt(1e-9) exceeds 2 * n * stick_time(1e-9, 0.5)
+        assert self._fit(1.0 - 3.0 * self.DIAM**0.5, self.DIAM) is None
+
+    def test_stalled_last_row_is_rejected(self):
+        # the last row arrives after the fitted collapse: t0_hat 1.0000055
+        # falls before ts[-1] 1.0000092 while the residual stays in bounds
+        t = 1.0 - self.DIAM**0.5
+        t = np.append(t, 1.0 + 0.01 * (t[-1] - t[0]))
+        assert self._fit(t, np.append(self.DIAM, 0.9e-9)) is None
+
+    def test_kernel_without_exponent(self):
+        driver = SimpleNamespace(alpha=None, fit_floor=1e-12, n=2)
+        assert self._fit(1.0 - self.DIAM**0.5, self.DIAM, driver) is None
 
 
 class TestReboundAndStall:
