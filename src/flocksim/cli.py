@@ -25,8 +25,8 @@ Commands write into the output directory:
 
 * ``simulate``: ``trajectory.csv`` (header ``t,x_1_1..x_N_d,v_1_1..v_N_d``,
   one row per sample, round-trippable decimal: the ``repr`` of each
-  value), ``events.jsonl`` (one object per event: t_event, group, kind,
-  rel_speed, min_dist).  A column that repeats another's bit pattern on
+  value), ``events.jsonl`` (one object per event, keyed by the fields of
+  ``CollisionEvent``).  A column that repeats another's bit pattern on
   every row, as the rows of a cluster do, is formatted once per row and
   its text copied; the file's bytes do not depend on this.
 * ``twobody``: ``report.txt`` with the classification, the level-time
@@ -52,7 +52,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -270,24 +270,22 @@ def _build_scenario(raw: dict[str, str]) -> ScenarioConfig:
             raise ValidationError("inline rows need n and d declared", key="n")
         sc.x = _collect_rows("x", rows, sc.n, sc.d)
         sc.v = _collect_rows("v", rows, sc.n, sc.d)
-        expected = {f"{p}_{i}" for p in ("x", "v") for i in range(1, sc.n + 1)}
-        extra = rows.keys() - expected
-        if extra:
-            raise ValidationError("row index out of range", key=min(extra))
+        if rows:  # what both prefixes left
+            raise ValidationError("row index out of range", key=min(rows))
     return sc
 
 
-def _collect_rows(prefix: str, rows, n: int, d: int) -> np.ndarray:
+def _collect_rows(prefix: str, rows: dict[str, str], n: int, d: int) -> np.ndarray:
+    """Rows ``prefix_1`` to ``prefix_n``, each taken out of ``rows``."""
     out = np.empty((n, d))
     for i in range(1, n + 1):
         key = f"{prefix}_{i}"
         if key not in rows:
             raise ValidationError("missing inline row", key=key)
-        parts = rows[key].split()
+        parts = rows.pop(key).split()
         if len(parts) != d:
             raise ValidationError(f"expected {d} components, got {len(parts)}", key=key)
-        for k, part in enumerate(parts):
-            out[i - 1, k] = _parse_float(key, part)
+        out[i - 1] = [_parse_float(key, part) for part in parts]
     return out
 
 
@@ -410,21 +408,9 @@ def serialize_trajectory(traj: PiecewiseTrajectory, out_dir) -> None:
     lines += [",".join(fan([*map(repr, row.tolist())])) for row in rows[:, first]]
     _write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
 
-    ev_lines = []
-    for e in traj.events:
-        ev_lines.append(
-            json.dumps(
-                {
-                    "t_event": float(e.t_event),
-                    "group": [int(g) for g in e.group],
-                    "kind": e.kind,
-                    "rel_speed": float(e.rel_speed),
-                    "min_dist": float(e.min_dist),
-                },
-                sort_keys=True,
-            )
-        )
-    _write_text(out / "events.jsonl", "".join(line + "\n" for line in ev_lines))
+    # numpy scalars in a hand-built event write as the Python numbers they hold
+    events = (json.dumps(asdict(e), sort_keys=True, default=np.generic.item) for e in traj.events)
+    _write_text(out / "events.jsonl", "".join(line + "\n" for line in events))
 
 
 def _meta_text(config: RunConfig) -> str:

@@ -7,7 +7,7 @@ system reduces to
 
 which integrates once to ``phi'(t) = -2 P(phi(t)) + c`` where ``P`` is the
 weight's antiderivative and ``c = 2 P(phi(0)) + phi'(0)`` is conserved.
-The sign of ``c`` decides the fate of an approaching pair:
+The sign of ``c`` decides the fate of the pair:
 
 * ``c == 0``  -- the pair meets with matched velocities after the finite
   time :func:`stick_time`.
@@ -99,10 +99,10 @@ def stick_time(phi0: float, alpha: float) -> float:
 
 
 def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
-    """Resolve the trichotomy for an approaching pair.
+    """Resolve the trichotomy for a pair.
 
-    Separating data (``dphi0 > 0``) trivially never collides and is
-    reported as :class:`NoCollision` with an infinite sentinel limit.
+    Separating data (``dphi0 > 0``) has ``c > 0``: the pair slows down and
+    levels off at the finite limit where ``2 P(phi) == c``.
     A colliding pair's time to contact is, with ``beta = 1 - alpha``,
     ``p = alpha/beta`` and ``z = 2 P(phi0)/s``, exactly
     ``t_hit = phi0/(beta s) * int_0^inf exp(-p y) / (exp(y) + z) dy``:
@@ -112,8 +112,6 @@ def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
     relative of ``(phi0/s) 2F1(1, 1/beta; 1 + 1/beta; -z)`` at 40 digits,
     and it raises no floating-point warning.
     """
-    if problem.dphi0 > 0.0:
-        return NoCollision(phi_limit=math.inf)
     two_p = 2.0 * _primitive(problem.phi0, problem.alpha)
     c = two_p + problem.dphi0
     if c == 0.0:

@@ -3,7 +3,7 @@
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -460,10 +460,35 @@ class TestSimulateCommand:
         lines = (sim_out / "events.jsonl").read_text().splitlines()
         assert len(lines) == 1
         event = json.loads(lines[0])
+        assert event.keys() == {f.name for f in fields(CollisionEvent)}
         assert event["kind"] == "Sticking"
         assert event["group"] == [0, 1]
         assert event["t_event"] == pytest.approx(0.5, abs=1e-3)
         assert event["rel_speed"] < 1e-4
+
+    def test_event_with_numpy_scalars_writes_as_python_numbers(self):
+        def events_line(event):
+            traj = PiecewiseTrajectory(
+                t=np.zeros(1),
+                x=np.zeros((1, 2, 1)),
+                v=np.zeros((1, 2, 1)),
+                grid_mask=np.ones(1, dtype=bool),
+                events=[event],
+                final_state=None,
+                config=SolverConfig(),
+            )
+            with tempfile.TemporaryDirectory() as out:
+                serialize_trajectory(traj, out)
+                return (Path(out) / "events.jsonl").read_text()
+
+        rel_speed = np.float32(0.1)
+        numpy_event = CollisionEvent(
+            np.float64(0.3), (np.int64(0), np.int64(1)), STICKING, rel_speed, np.float64(1e-9)
+        )
+        python_event = CollisionEvent(0.3, (0, 1), STICKING, float(rel_speed), 1e-9)
+        line = events_line(numpy_event)
+        assert line == events_line(python_event)
+        assert json.loads(line)["rel_speed"] == float(rel_speed) != 0.1
 
     def test_meta_reparses_to_same_run(self, sim_out):
         meta = (sim_out / "meta.txt").read_text()

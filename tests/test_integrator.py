@@ -137,6 +137,15 @@ class TestCriticalSticking:
         assert e.min_dist < 1e-6
         assert critical_runs[0.5].n_sticking == 1
 
+    def test_collapse_stops_below_the_deep_threshold(self):
+        # at alpha 0.25 the spread falls below v_stick while the gap is still
+        # above d_stick, so the deep threshold d_stick / 256 stops the
+        # collapse: min_dist 2.6e-9 against 3.9e-9.  Half that factor stops
+        # it at 4.7e-9; at alpha 0.5 both stop at the same 5.0e-10.
+        traj = critical_two_body(0.25, t_end=1.8)
+        assert [e.kind for e in traj.events] == [STICKING]
+        assert traj.events[0].min_dist < SolverConfig().d_stick / 256
+
     def test_mean_velocity_pinned(self, critical_runs):
         traj = critical_runs[0.5]
         means = traj.v.mean(axis=1)

@@ -135,9 +135,10 @@ class TestClassify:
         assert out.phi_limit == pytest.approx(0.0625)
 
     def test_separating_never_collides(self):
+        # c = 2 P(1) + 2 = 6 at alpha 0.5: the pair levels off where 4 sqrt(phi) = 6
         out = classify(TwoBodyProblem(1.0, 2.0, 0.5))
         assert isinstance(out, NoCollision)
-        assert out.phi_limit == math.inf
+        assert out.phi_limit == 2.25
 
     def test_impact_speed_is_conserved_excess(self):
         # |c| = |2 Psi(phi0) + dphi0|

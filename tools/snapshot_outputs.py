@@ -16,7 +16,10 @@ families, and the benchmark's converge_2c families) and writes one line
 per scenario to ``OUT_DIR/hashes.txt``: a SHA-256 over each run's ``t``,
 ``x``, ``v`` and ``grid_mask``, its events with their floats in hex, and
 its final state (or the error the solve raised), so that a change in the
-last bit of any of them shows up in the diff.  ``flocksim`` is imported
+last bit of any of them shows up in the diff.  ``OUT_DIR/host.txt`` records
+the host's OpenBLAS core and numpy's SIMD targets
+(``tools/host_arithmetic.py``), which set those last bits, so that a
+diff between two hosts names its cause.  ``flocksim`` is imported
 from ``PYTHONPATH``, so another checkout (a clone of an older commit,
 say) can be snapshotted with this same script and the two snapshots
 compared with ``diff -r``.  The whole set runs in well under 30 seconds.
@@ -45,6 +48,7 @@ from flocksim import (
 )
 from flocksim.cli import generate_scenario, parse_config, run_command
 from flocksim.errors import ConfigError, FlockError, ValidationError
+from host_arithmetic import fingerprint
 
 README_PAIR = """\
 [scenario]
@@ -149,6 +153,8 @@ CASES = [
     ("twobody_stick", "twobody", _twobody(1.0, -4.0)),
     ("twobody_collide", "twobody", _twobody(1.0, -5.0)),
     ("twobody_no_collision", "twobody", _twobody(1.0, -3.0)),
+    # separating data: c > 0, so the pair levels off at a finite limit
+    ("twobody_separating", "twobody", _twobody(1.0, 2.0)),
     ("twobody_cucker_smale", "twobody", _twobody(1.0, -1.0, "kernel = cucker_smale")),
     # collide times just past the critical rate, where a plateau of height 1/s
     # near contact carries most of the integral
@@ -388,6 +394,8 @@ def main(argv=None) -> int:
             digest = f"{type(exc).__name__}: {exc}"
         lines.append(f"{name} {digest}")
     (root / "hashes.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    host = "".join(f"{key} = {value}\n" for key, value in fingerprint().items())
+    (root / "host.txt").write_text(host, encoding="utf-8")
     print(f"{len(lines)} hashed scenarios  {time.perf_counter() - t0:6.2f} s")
     return 1 if failed else 0
 

@@ -17,10 +17,11 @@ keeps:
 
 The file also records the git rev, whether ``src/`` differs from it, the
 hash of ``src/flocksim`` that the benchmark computes, and the Python,
-numpy and host of the runs.  ``BENCH_<LABEL>.json`` is written at the root
-of the checkout.  Standard library only; nothing under ``perfbench/`` is
-written except that script's own output directory.  All sixteen runs take
-about ten minutes.
+numpy and host of the runs, the host with its OpenBLAS core and numpy's
+SIMD targets (``tools/host_arithmetic.py``).  ``BENCH_<LABEL>.json`` is
+written at the root of the checkout.  Standard library and numpy only;
+nothing under ``perfbench/`` is written except that script's own output
+directory.  All sixteen runs take about ten minutes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from host_arithmetic import fingerprint
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 7)
@@ -95,7 +98,8 @@ def main(argv=None) -> int:
         "git_rev": _git("rev-parse", "HEAD") or None,
         "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "src_sha256": provenance["src_sha256"],
-        "host": {k: provenance[k] for k in ("python", "numpy", "nproc", "machine")},
+        "host": {**{k: provenance[k] for k in ("python", "numpy", "nproc", "machine")},
+                 **fingerprint()},
         "run_seconds": seconds,
         "seeds": list(SEEDS),
         "workloads": results,
