@@ -101,8 +101,8 @@ def stick_time(phi0: float, alpha: float) -> float:
 def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
     """Resolve the trichotomy for a pair.
 
-    Separating data (``dphi0 > 0``) has ``c > 0``: the pair slows down and
-    levels off at the finite limit where ``2 P(phi) == c``.
+    Separating data (``dphi0 > 0``) has ``c > 0``: the pair levels off where
+    ``2 P(phi) == c``; a limit or a rate past the float range is ``inf``.
     A colliding pair's time to contact is, with ``beta = 1 - alpha``,
     ``p = alpha/beta`` and ``z = 2 P(phi0)/s``, exactly
     ``t_hit = phi0/(beta s) * int_0^inf exp(-p y) / (exp(y) + z) dy``:
@@ -113,13 +113,16 @@ def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
     and it raises no floating-point warning.
     """
     two_p = 2.0 * _primitive(problem.phi0, problem.alpha)
-    c = two_p + problem.dphi0
+    try:
+        c = two_p + problem.dphi0
+    except OverflowError:  # an integer rate beyond the float range
+        c = math.inf if problem.dphi0 > 0 else -math.inf
     if c == 0.0:
         return StickFiniteTime(t0=stick_time(problem.phi0, problem.alpha))
     if c < 0.0:
         s, beta = -c, 1.0 - problem.alpha
         z = two_p / s
-        c0 = max(math.log(z), 0.0)
+        c0 = math.log(z) if z > 1.0 else 0.0  # z is 0 for an infinite rate
         t = np.arange(-160, 161) / 32.0
         u, du = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
         y = np.concatenate([0.5 * c0 * (1.0 + np.tanh(u)), c0 + np.exp(u)])
@@ -128,8 +131,10 @@ def classify(problem: TwoBodyProblem) -> TwoBodyOutcome:
         g = np.exp(-y / beta) / (1.0 + z * np.exp(-y))
         t_hit = problem.phi0 / (beta * s) * (w @ g) / 32.0
         return CollideNonstick(impact_speed=s, t_hit=float(t_hit))
-    limit = ((1.0 - problem.alpha) * c / 2.0) ** (1.0 / (1.0 - problem.alpha))
-    return NoCollision(phi_limit=limit)
+    try:
+        return NoCollision(phi_limit=((1.0 - problem.alpha) * c / 2.0) ** (1.0 / (1.0 - problem.alpha)))
+    except OverflowError:  # a limit beyond the float range
+        return NoCollision(phi_limit=math.inf)
 
 
 @dataclass(frozen=True)

@@ -688,6 +688,13 @@ class TestTwoBodyCommand:
         assert report["outcome"] == "NoCollision"
         assert float(report["phi_limit"]) == 0.0625
 
+    def test_separating_limit_past_the_float_range(self, tmp_path):
+        report = self._run(
+            tmp_path, "[scenario]\nalpha = 0.999\n[twobody]\nphi0 = 1.0\ndphi0 = 3000.0\n"
+        )
+        assert report["outcome"] == "NoCollision"
+        assert report["phi_limit"] == "inf"
+
     def test_bounded_kernel_report(self, tmp_path):
         report = self._run(
             tmp_path,

@@ -140,6 +140,18 @@ class TestClassify:
         assert isinstance(out, NoCollision)
         assert out.phi_limit == 2.25
 
+    def test_limit_past_the_float_range_is_inf(self):
+        # ((1 - alpha) c / 2) ** (1 / (1 - alpha)) overflows a float for each of these
+        for dphi0, alpha in [(3000.0, 0.999), (1e6, 0.99), (1e160, 0.5)]:
+            assert classify(TwoBodyProblem(1.0, dphi0, alpha)).phi_limit == math.inf
+
+    def test_rate_past_the_float_range_is_infinite(self):
+        # integers past the float range are valid rates; 2 P(phi0) + dphi0 counts as +-inf
+        assert classify(TwoBodyProblem(1.0, 10**400, 0.5)) == NoCollision(phi_limit=math.inf)
+        assert classify(TwoBodyProblem(1.0, -(10**400), 0.5)) == CollideNonstick(
+            impact_speed=math.inf, t_hit=0.0
+        )
+
     def test_impact_speed_is_conserved_excess(self):
         # |c| = |2 Psi(phi0) + dphi0|
         out = classify(TwoBodyProblem(1.0, -6.0, 0.5))

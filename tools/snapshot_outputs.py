@@ -155,6 +155,8 @@ CASES = [
     ("twobody_no_collision", "twobody", _twobody(1.0, -3.0)),
     # separating data: c > 0, so the pair levels off at a finite limit
     ("twobody_separating", "twobody", _twobody(1.0, 2.0)),
+    # a limit past the float range, reported as inf
+    ("twobody_separating_overflow", "twobody", _twobody(1.0, 3000.0, "alpha = 0.999")),
     ("twobody_cucker_smale", "twobody", _twobody(1.0, -1.0, "kernel = cucker_smale")),
     # collide times just past the critical rate, where a plateau of height 1/s
     # near contact carries most of the integral
