@@ -18,15 +18,30 @@ One call of :func:`acceleration_arrays` is a fixed sequence on the pairs
 of :meth:`ClusterPartition.inter_pairs`: their separations from
 :func:`pair_norms` (which sums the squared components in one written-out
 order, the even axes, then the odd axes, and takes the root of the single
-square when d = 1), the P kernel weights on them, scattered into a
-flattened N x N buffer through the linear indices ``i*N + j`` and
-``j*N + i``, then the force reduction: one matrix product of the weights
-with the velocities, less each row's weight sum times the row's velocity,
-scaled by 2/N in place.  :func:`pair_slots` builds the indices, the zeroed
-weight buffer with its N x N view, the separation buffer and 2/N once for
-a fixed pair list (that of the solver's driver for one partition), so a
-call writes only the P separations and weights, and every weight off the
-list stays zero.
+square when d = 1), the P kernel weights on them, written straight into a
+weight buffer, the N x N weight matrix filled from that buffer, then the
+force reduction: one matrix product of the matrix with the velocities,
+less each row's weight sum times the row's velocity, scaled by 2/N in
+place.  The matrix is filled one of two ways, chosen by the pair list
+alone:
+
+* when the list holds every pair of the N rows (every driver before a
+  run's first stick), one gather reads it from the P weights and a
+  trailing zero through a fixed ``(N, N)`` index of pair numbers whose
+  diagonal names the zero;
+* on a clustered partition the weights are scattered into a zeroed,
+  flattened N x N buffer through the linear indices ``i*N + j`` and
+  ``j*N + i``, and every entry off the list stays zero.
+
+The gather writes N^2 entries where the scatter writes 2P.  With every
+pair listed 2P = N^2 - N, and the gather writes in row order where the
+scatter's lower-triangle write strides down the columns: an N = 128,
+d = 2 call takes about 95 us against 120 us.  On merge_2c's clusters of 1 and N - 1
+(P = N - 1) the gather costs about 30% more per call at N = 56 and 64,
+so those keep the scatter.  Either way the matrix holds the same floats.
+:func:`pair_slots` builds the buffers, the index or the scatter indices,
+and 2/N once for a fixed pair list (that of the solver's driver for one
+partition), so a call writes only the P separations and weights.
 
 A cluster is named by its smallest member, its root.  A cluster's rows
 coincide bitwise, so the pairs across two clusters share one gap, and the
@@ -153,19 +168,37 @@ def _equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def pair_slots(
-    pairs, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Linear indices ``(i*n + j, j*n + i)`` of ``pairs`` in a flattened
-    n x n matrix, a zeroed ``(n*n,)`` weight buffer for them, a ``(P,)``
-    buffer for their separations, the buffer's ``(n, n)`` view and the
-    coupling ``2/n``.  A caller that reuses one pair list builds them once;
-    each :func:`acceleration_arrays` call then writes the P separations and
-    only the listed entries of the weight buffer, so every other entry
-    stays zero."""
+def pair_slots(pairs, n: int) -> tuple:
+    """Buffers for :func:`acceleration_arrays` on a fixed pair list, built
+    once: ``(dist, weights, index, w, w_nn, ij, ji, coupling)``.
+
+    ``dist`` and ``weights`` take the P separations and the P kernel
+    weights, and ``coupling`` is ``2/n``.  The other entries fill the
+    symmetric ``(n, n)`` weight matrix, zero off the pairs, one of two
+    ways, chosen by the pair list alone:
+
+    * every pair of the n rows (P = n(n-1)/2): ``w`` is a ``(P+1,)`` buffer
+      whose first P entries are ``weights`` and whose last stays zero, and
+      ``index`` is an ``(n, n)`` intp array holding each entry's pair
+      number and P on the diagonal, so ``w[index]`` is the matrix;
+      ``w_nn``, ``ij`` and ``ji`` are None;
+    * any other list (a clustered partition): ``w`` is a zeroed ``(n*n,)``
+      buffer with its ``(n, n)`` view ``w_nn``, ``ij`` and ``ji`` are the
+      linear indices ``i*n + j`` and ``j*n + i`` the weights are scattered
+      to, so every entry off the list stays zero; ``index`` is None.
+
+    The gather writes n^2 entries and the scatter 2P, so the gather pays
+    only when every pair is listed (the module docstring has the times)."""
     pi, pj = pairs
+    p = pi.size
+    dist, coupling = np.empty(p), 2.0 / n
+    if p == n * (n - 1) // 2:
+        index = np.full((n, n), p, dtype=np.intp)
+        index[pi, pj] = index[pj, pi] = np.arange(p)
+        w = np.zeros(p + 1)
+        return dist, w[:p], index, w, None, None, None, coupling
     w = np.zeros(n * n)
-    return pi * n + pj, pj * n + pi, w, np.empty(pi.size), w.reshape(n, n), 2.0 / n
+    return dist, np.empty(p), None, w, w.reshape(n, n), pi * n + pj, pj * n + pi, coupling
 
 
 def pair_norms(z: np.ndarray, pairs, out=None) -> np.ndarray:
@@ -199,22 +232,30 @@ def acceleration_arrays(
     their :func:`pair_slots` ``slots``; written into ``out`` (an ``(n, d)``
     array) when given, else into a new array.
 
-    The call leaves the pairs' separations in the slots' separation buffer
-    and the symmetric ``(n, n)`` weight matrix, zero off the pairs, in
-    their weight buffer; the next call on the same slots overwrites both.
+    The kernel writes the P weights straight into the slots' weight
+    buffer, and the symmetric ``(n, n)`` weight matrix, zero off the pairs,
+    is filled from it: one gather ``w[index]`` when the list holds every
+    pair of the n rows, else a scatter into the zeroed ``(n*n,)`` buffer
+    (the module docstring says why both).  The call leaves the separations
+    and the weights in their buffers; the next call on the same slots
+    overwrites both.
     Raises :class:`SingularEvaluationError` if the singular kernel meets a
     zero separation on one of the pairs.
 
     Rows of stuck particles are identical, and the column means vanish up
     to roundoff, so the mean velocity is a conserved quantity of the flow.
     """
-    ij, ji, w, dist, w_nn, coupling = slots
+    dist, weights, index, w, w_nn, ij, ji, coupling = slots
     pair_norms(x, pairs, out=dist)
     if isinstance(kernel, SingularKernel) and (dist == 0.0).any():
         raise SingularEvaluationError(
             "zero separation between distinct clusters under the singular weight"
         )
-    w[ij] = w[ji] = kernel.weight(dist)
+    kernel.weight(dist, out=weights)
+    if index is None:
+        w[ij] = w[ji] = weights
+    else:
+        w_nn = w[index]
     # a_i = (2/N) * (sum_k w_ik v_k - (sum_k w_ik) v_i); the reduction is a
     # fixed deterministic matrix product, so repeat runs agree bitwise.
     # The 2/N coupling makes the two-particle system reduce exactly to the

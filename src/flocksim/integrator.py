@@ -213,6 +213,9 @@ class _Driver:
         self.halves = (2, self.n, self.d)  # a packed state's positions and velocities
         part = system.partition
         self.pairs = part.inter_pairs()
+        # the RHS buffers for this pair list: all singletons gather the
+        # weight matrix through a fixed index, a clustered partition
+        # scatters into a zeroed N x N buffer (dynamics.pair_slots)
         self.slots = pair_slots(self.pairs, self.n)
         self.labels = part.labels()
         # all singletons: the root pairs are the pair list, shared to spare a
@@ -231,8 +234,8 @@ class _Driver:
         dxv = out.reshape(self.halves)
         dxv[0] = xv[1]
         acceleration_arrays(xv[0], xv[1], self.pairs, self.kernel, self.slots, out=dxv[1])
-        # the call left the separations in the slots
-        if self.power_floor is not None and not self.slots[3].min() >= self.power_floor:
+        # the call left the separations in the slots' first buffer
+        if self.power_floor is not None and not self.slots[0].min() >= self.power_floor:
             self.power_floor = None  # a NaN separation clears it too
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,10 @@ Three weight families drive the velocity-alignment force:
 * :class:`CuckerSmaleKernel` -- the bounded weight ``K*(1+s**2)**(-beta/2)``.
 
 Each ``weight`` takes an array of separations, 0-d included, and returns
-weights of the same shape.  The antiderivative of the singular weight,
-``s**(1-alpha)/(1-alpha)``, belongs to the two-body analysis in
-:mod:`flocksim.twobody`.
+weights of the same shape; given a float array ``out`` of that shape, it
+writes them there (the force's weight buffer) and returns ``out``.  The
+antiderivative of the singular weight, ``s**(1-alpha)/(1-alpha)``, belongs
+to the two-body analysis in :mod:`flocksim.twobody`.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ class SingularKernel:
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
 
-    def weight(self, s: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(s, dtype=float)
+    def weight(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros_like(s, dtype=float)
+        else:
+            out.fill(0.0)
         pos = s > 0.0
         out[pos] = s[pos] ** (-self.alpha)
         return out
@@ -113,15 +117,18 @@ class RegularizedKernel:
         """Left end of the inverse-power branch, ``(n-1)**(-1/alpha)``."""
         return float(self.n - 1) ** (-1.0 / self.alpha)
 
-    def weight(self, s: np.ndarray) -> np.ndarray:
+    def weight(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         a = self.alpha
         hi = self.bridge_end
         if s.size and s.min() >= hi:
             # every separation is on the power branch (NaN fails the test):
             # the same power on the same values as below
-            return np.asarray(s ** (-a), dtype=float)
+            if out is None:
+                return np.asarray(s ** (-a), dtype=float)
+            return np.power(s, -a, out=out)
         lo = self.cap_end
-        out = np.empty_like(s, dtype=float)
+        if out is None:
+            out = np.empty_like(s, dtype=float)
 
         cap = s <= lo
         power = s >= hi
@@ -156,8 +163,8 @@ class CuckerSmaleKernel:
         if not (_finite_real(self.beta) and self.beta >= 0.0):
             raise DomainError(f"beta must be nonnegative and finite, got {self.beta!r}", key="beta")
 
-    def weight(self, s: np.ndarray) -> np.ndarray:
-        return self.K * (1.0 + s * s) ** (-self.beta / 2.0)
+    def weight(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.multiply(self.K, (1.0 + s * s) ** (-self.beta / 2.0), out=out)
 
 
 WeightKernel = Union[SingularKernel, RegularizedKernel, CuckerSmaleKernel]

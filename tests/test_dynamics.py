@@ -33,12 +33,19 @@ def _random_system(seed, n, d, kernel=None):
     return make_system(x, v, kernel or SingularKernel(alpha=0.5))
 
 
+def _matrix(slots):
+    """The weight matrix of the last force evaluation on ``slots``: the
+    gather of its weights when the pair list holds every pair, else the
+    scattered buffer's N x N view."""
+    _, _, index, w, w_nn = slots[:5]
+    return w_nn if index is None else w[index]
+
+
 def _weights(x, pairs, kernel):
     """The weight matrix that one force evaluation leaves in its slots."""
-    n = len(x)
-    slots = pair_slots(pairs, n)
+    slots = pair_slots(pairs, len(x))
     acceleration_arrays(x, np.zeros_like(x), pairs, kernel, slots)
-    return slots[2].reshape(n, n)
+    return _matrix(slots)
 
 
 def _acceleration(s):
@@ -245,12 +252,26 @@ class TestPairWeights:
         assert w[0, 1] == 1.0
 
     def test_slots_are_linear_indices(self):
+        # a clustered partition scatters into a zeroed N x N buffer
         pairs = _partition([0, 1, 1, 2, 3, 3, 4]).inter_pairs()
-        slots = pair_slots(pairs, 7)
-        np.testing.assert_array_equal(slots[0], pairs[0] * 7 + pairs[1])
-        np.testing.assert_array_equal(slots[1], pairs[1] * 7 + pairs[0])
-        assert slots[2].shape == (49,) and not slots[2].any()
-        assert slots[3].shape == (len(pairs[0]),)
+        dist, weights, index, w, w_nn, ij, ji, _ = pair_slots(pairs, 7)
+        assert index is None
+        np.testing.assert_array_equal(ij, pairs[0] * 7 + pairs[1])
+        np.testing.assert_array_equal(ji, pairs[1] * 7 + pairs[0])
+        assert w.shape == (49,) and not w.any() and np.shares_memory(w_nn, w)
+        assert dist.shape == weights.shape == (len(pairs[0]),)
+
+    def test_slots_gather_every_pair(self):
+        # every pair listed: each entry indexes its pair's weight, and the
+        # diagonal a trailing zero
+        pairs = _partition(np.arange(5)).inter_pairs()
+        dist, weights, index, w, w_nn, ij, ji, _ = pair_slots(pairs, 5)
+        assert w_nn is None and ij is None and ji is None
+        assert w.shape == (11,) and not w.any() and np.shares_memory(weights, w)
+        assert dist.shape == weights.shape == (10,)
+        np.testing.assert_array_equal(index[pairs], np.arange(10))
+        np.testing.assert_array_equal(index.T, index)
+        np.testing.assert_array_equal(np.diag(index), [10] * 5)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -334,7 +355,7 @@ class TestWeightBuffer:
         merged = merge_clusters(s, (1, 4))
         after = _Driver(merged, SolverConfig())
         after.rhs(0.0, np.concatenate([merged.x.ravel(), merged.v.ravel()]), np.empty(24))
-        w = after.slots[2].reshape(6, 6)
+        w = _matrix(after.slots)
         assert w[1, 4] == 0.0 and w[4, 1] == 0.0
         ref = _dense_masked_weights(merged.x, merged.partition.labels(), after.kernel)
         assert w.tobytes() == ref.tobytes()
@@ -446,6 +467,12 @@ def _reference_force(x, v, pairs, kernel):
 
 
 _ORACLE_KERNEL = RegularizedKernel(alpha=0.5, n=50)  # cap to 4.0e-4, bridge to 4.16e-4
+_KERNELS = [
+    SingularKernel(alpha=0.5),
+    _ORACLE_KERNEL,
+    RegularizedKernel(alpha=0.25, n=10**6),
+    CuckerSmaleKernel(K=1.5, beta=0.7),
+]
 
 
 class TestForceOracle:
@@ -463,11 +490,12 @@ class TestForceOracle:
         a = acceleration_arrays(x, v, pairs, kernel, slots, out=out)
         assert a is out
         assert a.tobytes() == ref.tobytes()
-        assert slots[2].tobytes() == ref_w.tobytes()
-        assert slots[3].tobytes() == _reference_norms(x, pairs).tobytes()
+        assert _matrix(slots).tobytes() == ref_w.tobytes()
+        assert slots[0].tobytes() == _reference_norms(x, pairs).tobytes()
         # a second call on the same slots, without out, gives the same bytes
         again = acceleration_arrays(x, v, pairs, kernel, slots)
         assert again.tobytes() == ref.tobytes()
+        return slots
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -475,14 +503,7 @@ class TestForceOracle:
         d=st.integers(1, 4),
         n_clusters=st.integers(1, 12),
         scale=st.sampled_from([1e-5, 2e-4, 4.08e-4, 1e-3, 1.0, 1e3]),
-        kernel=st.sampled_from(
-            [
-                SingularKernel(alpha=0.5),
-                _ORACLE_KERNEL,
-                RegularizedKernel(alpha=0.25, n=10**6),
-                CuckerSmaleKernel(K=1.5, beta=0.7),
-            ]
-        ),
+        kernel=st.sampled_from(_KERNELS),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_bytes(self, seed, n, d, n_clusters, scale, kernel):
@@ -514,6 +535,24 @@ class TestForceOracle:
         self._check(x[3:], v[3:], np.arange(2), k)
         self._check(np.concatenate([x, x[:2]]), np.concatenate([v, v[:2]]),
                     np.array([0, 1, 2, 3, 4, 0, 1]), k)
+
+
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    @pytest.mark.parametrize("scale", [4.08e-4, 1.0])
+    @pytest.mark.parametrize(
+        "n, d, labels",
+        [(128, 2, np.arange(128)), (64, 3, np.array([0] + [1] * 63))],
+        ids=["gather-128x2-singletons", "scatter-64x3-clusters-1-63"],
+    )
+    def test_benchmark_sizes(self, n, d, labels, scale, kernel):
+        # the sizes the benchmark runs: swarm_2d's all-singleton N = 128,
+        # which gathers the matrix, and merge_2c's clusters of 1 and 63,
+        # which scatter it
+        rng = np.random.default_rng(n * d)
+        x = rng.normal(size=(n, d))[labels] * scale
+        v = rng.normal(size=(n, d))[labels]
+        slots = self._check(x, v, labels, kernel)
+        assert (slots[2] is None) == (len(set(labels.tolist())) < n)
 
 
 class TestMergeClusters:
