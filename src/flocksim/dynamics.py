@@ -25,23 +25,24 @@ less each row's weight sum times the row's velocity, scaled by 2/N in
 place.  The matrix is filled one of two ways, chosen by the pair list
 alone:
 
-* when the list holds every pair of the N rows (every driver before a
-  run's first stick), one gather reads it from the P weights and a
-  trailing zero through a fixed ``(N, N)`` index of pair numbers whose
-  diagonal names the zero;
+* when the list holds every pair of the N rows (all singletons, as in a
+  run's first segment unless some rows start coincident), one gather
+  reads it from the P weights and a trailing zero through a fixed
+  ``(N, N)`` index of pair numbers whose diagonal names the zero;
 * on a clustered partition the weights are scattered into a zeroed,
   flattened N x N buffer through the linear indices ``i*N + j`` and
   ``j*N + i``, and every entry off the list stays zero.
 
 The gather writes N^2 entries where the scatter writes 2P.  With every
 pair listed 2P = N^2 - N, and the gather writes in row order where the
-scatter's lower-triangle write strides down the columns: an N = 128,
-d = 2 call takes about 95 us against 120 us.  On merge_2c's clusters of 1 and N - 1
-(P = N - 1) the gather costs about 30% more per call at N = 56 and 64,
-so those keep the scatter.  Either way the matrix holds the same floats.
-:func:`pair_slots` builds the buffers, the index or the scatter indices,
-and 2/N once for a fixed pair list (that of the solver's driver for one
-partition), so a call writes only the P separations and weights.
+scatter's lower-triangle write strides down the columns: a whole call at
+N = 128, d = 2 takes about 20% less time.  On merge_2c's clusters of 1
+and N - 1 (P = N - 1) a gather took 20-30% longer per call at N = 56 and
+64, so clustered partitions keep the scatter.  Either way the matrix
+holds the same floats.  :func:`pair_slots` builds the buffers, the index
+or the scatter indices, and 2/N once for a fixed pair list (that of the
+solver's driver for one partition), so a call writes only the P
+separations and weights.
 
 A cluster is named by its smallest member, its root.  A cluster's rows
 coincide bitwise, so the pairs across two clusters share one gap, and the

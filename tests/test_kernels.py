@@ -250,3 +250,26 @@ class TestEvalGuards:
             assert isinstance(out, np.ndarray)
             assert out.shape == s.shape
             assert out.tobytes() == np.array([k.weight(np.asarray(e)) for e in s.flat]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        SingularKernel(alpha=0.5),
+        RegularizedKernel(alpha=0.5, n=10),
+        CuckerSmaleKernel(K=1.5, beta=0.7),
+        CuckerSmaleKernel(K=2, beta=0.0),
+    ],
+)
+@pytest.mark.parametrize("beyond", [False, True])
+def test_weight_into_out(kernel, beyond):
+    # the force's kernel writes into its weight buffer: the same bytes as a
+    # fresh result, on every branch, whatever the buffer held before
+    s = np.array([0.0, 1e-3, 0.0102, 0.0105, 0.5, 2.0, 7.0])
+    if beyond:
+        s = s + 1.0  # every separation on the capped weight's power branch
+    buf = np.full(s.size + 1, np.nan)
+    out = kernel.weight(s, out=buf[:-1])
+    assert np.shares_memory(out, buf)
+    assert out.tobytes() == kernel.weight(s).tobytes()
+    assert np.isnan(buf[-1])
