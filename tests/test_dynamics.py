@@ -536,7 +536,6 @@ class TestForceOracle:
         self._check(np.concatenate([x, x[:2]]), np.concatenate([v, v[:2]]),
                     np.array([0, 1, 2, 3, 4, 0, 1]), k)
 
-
     @pytest.mark.parametrize("kernel", _KERNELS)
     @pytest.mark.parametrize("scale", [4.08e-4, 1.0])
     @pytest.mark.parametrize(
